@@ -4,139 +4,15 @@ The package collapses chosen state subsets into direct border transitions
 that carry the exact probability mass of all routes through the subset
 (all arithmetic is over arbitrary-precision rationals), and builds model
 checking, threshold refinement with witnesses, and a small text-format CLI
-on top of that single operation.
+on top of that single operation.  Everything beyond the names below lives
+in its module: ``pathfold.cli`` (``parse``, ``serialize``), ``pathfold.scc``
+(the component strategies) and ``pathfold.words`` (the word-level oracle).
 """
 
-from .abstraction import (
-    FrontierSets,
-    LinearSystem,
-    SingularMatrixError,
-    frontier,
-    linear_system,
-    path_abstract,
-    path_abstract_seq,
-    prune_isolated,
-    reach_backward,
-    solve_linear,
-)
-from .checker import (
-    METHODS,
-    GoalNotAbsorbingError,
-    InitIsGoalError,
-    InvalidSequenceError,
-    NotAPathError,
-    ReachabilityResult,
-    RefinementReport,
-    RefinementStep,
-    concretize_witness,
-    model_check,
-    most_probable_path,
-    refine,
-)
-from .cli import (
-    DuplicateTransitionError,
-    ModelFormatError,
-    ModelSyntaxError,
-    ProbabilityOutOfRangeError,
-    parse,
-    serialize,
-)
-from .core import (
-    Dtmc,
-    DtmcError,
-    EntryExceedsOneError,
-    InitOutOfRangeError,
-    NegativeEntryError,
-    Rational,
-    RowSumExceedsOneError,
-    StateSet,
-    ValidationError,
-    ValidationReport,
-    non_absorbing,
-    state_set,
-    support_edges,
-    validate,
-)
-from .scc import (
-    NonTerminatingInteriorError,
-    NotStronglyConnectedError,
-    abstract_recursive,
-    abstract_via_sccs,
-    nontrivial_sccs,
-    sccs,
-)
-from .words import (
-    EmptyWordError,
-    Word,
-    finite_set_prob,
-    local_reach_prob_bounded,
-    minimal_prefixes,
-    minus,
-    minus_seq,
-    path_prob,
-    preimage_min_bounded,
-    splice,
-)
+from .abstraction import path_abstract
+from .checker import model_check, refine
+from .core import Dtmc, DtmcError
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Dtmc",
-    "DtmcError",
-    "DuplicateTransitionError",
-    "EmptyWordError",
-    "EntryExceedsOneError",
-    "FrontierSets",
-    "GoalNotAbsorbingError",
-    "InitIsGoalError",
-    "InitOutOfRangeError",
-    "InvalidSequenceError",
-    "LinearSystem",
-    "METHODS",
-    "ModelFormatError",
-    "ModelSyntaxError",
-    "NegativeEntryError",
-    "NonTerminatingInteriorError",
-    "NotAPathError",
-    "NotStronglyConnectedError",
-    "ProbabilityOutOfRangeError",
-    "Rational",
-    "ReachabilityResult",
-    "RefinementReport",
-    "RefinementStep",
-    "RowSumExceedsOneError",
-    "SingularMatrixError",
-    "StateSet",
-    "ValidationError",
-    "ValidationReport",
-    "Word",
-    "abstract_recursive",
-    "abstract_via_sccs",
-    "concretize_witness",
-    "finite_set_prob",
-    "frontier",
-    "linear_system",
-    "local_reach_prob_bounded",
-    "minimal_prefixes",
-    "minus",
-    "minus_seq",
-    "model_check",
-    "most_probable_path",
-    "non_absorbing",
-    "nontrivial_sccs",
-    "parse",
-    "path_abstract",
-    "path_abstract_seq",
-    "path_prob",
-    "preimage_min_bounded",
-    "prune_isolated",
-    "reach_backward",
-    "refine",
-    "sccs",
-    "serialize",
-    "solve_linear",
-    "splice",
-    "state_set",
-    "support_edges",
-    "validate",
-]
+__all__ = ["Dtmc", "DtmcError", "model_check", "path_abstract", "refine"]

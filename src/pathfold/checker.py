@@ -99,18 +99,23 @@ def _recursive_over(d: Dtmc, k: StateSet) -> Dtmc:
     return path_abstract(current, k)
 
 
-def most_probable_path(d: Dtmc, src: int, dst: int) -> tuple[Word, Fraction]:
+def most_probable_path(
+    d: Dtmc, src: int, dst: int, within: Iterable[int] | None = None
+) -> tuple[Word, Fraction]:
     """Single path of maximal probability from ``src`` to ``dst``.
 
     Best-first search: transition probabilities never exceed one, so
     extending a path never improves it and the first settlement of the
     destination is optimal.  Ties resolve to the lexicographically
-    smallest path.  Returns ``((), 0)`` if the destination is unreachable.
+    smallest path.  With ``within`` given, every state after ``src`` other
+    than ``dst`` must lie in ``within``.  Returns ``((), 0)`` if the
+    destination is unreachable.
     """
     if not (1 <= src <= d.n and 1 <= dst <= d.n):
         raise ValueError(f"state pair ({src},{dst}) out of range 1..{d.n}")
     if src == dst:
         return (src,), Fraction(1)
+    scan = d.states() if within is None else sorted({*within, dst})
     heap: list[tuple[Fraction, Word]] = [(Fraction(-1), (src,))]
     settled: set[int] = set()
     while heap:
@@ -121,7 +126,7 @@ def most_probable_path(d: Dtmc, src: int, dst: int) -> tuple[Word, Fraction]:
         settled.add(v)
         if v == dst:
             return path, -neg
-        for t in d.states():
+        for t in scan:
             p = d.prob(v, t)
             if p > 0 and t not in settled:
                 heapq.heappush(heap, (neg * p, path + (t,)))
@@ -216,27 +221,13 @@ def _expand_once(m: Dtmc, fs: StateSet, word: Word) -> Word:
     pieces = []
     for a, b in pairwise(word):
         if a in fs:
-            pieces.append(_best_route_through(m, fs, a, b))
+            route, _ = most_probable_path(m, a, b, within=fs)
+            if not route:
+                raise NotAPathError(f"no route from {a} to {b} through {sorted(fs)}")
+            pieces.append(route)
         else:
             pieces.append((a, b))
     out = pieces[0]
     for piece in pieces[1:]:
         out = splice(out, piece)
     return out
-
-
-def _best_route_through(m: Dtmc, fs: StateSet, src: int, dst: int) -> Word:
-    heap: list[tuple[Fraction, Word]] = [(Fraction(-1), (src,))]
-    settled: set[int] = set()
-    while heap:
-        neg, path = heapq.heappop(heap)
-        v = path[-1]
-        if v in settled:
-            continue
-        settled.add(v)
-        if v == dst:
-            return path
-        for t in m.states():
-            if (t == dst or t in fs) and t not in settled and m.prob(v, t) > 0:
-                heapq.heappush(heap, (neg * m.prob(v, t), path + (t,)))
-    raise NotAPathError(f"no route from {src} to {dst} through {sorted(fs)}")

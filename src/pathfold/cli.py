@@ -55,16 +55,31 @@ class ProbabilityOutOfRangeError(ModelFormatError):
     pass
 
 
-_INT = re.compile(r"^\d+$")
-_PROB = re.compile(r"^\d+/\d+$|^[01]$")
+_INT = re.compile(r"^[0-9]+$")
+_PROB = re.compile(r"^[0-9]+/[0-9]+$|^[01]$")
+
+
+def _fraction(token: str, what: str) -> Fraction:
+    """``p/q``, 0 or 1 as a fraction; a ValueError names ``what`` otherwise."""
+    if not _PROB.match(token):
+        raise ValueError(f"bad {what} {token!r} (want p/q, 0 or 1)")
+    if "/" in token and token.split("/")[1].strip("0") == "":
+        raise ValueError(f"zero denominator in {what} {token!r}")
+    return Fraction(token)
+
+
+def _parse_int(token: str, line: int) -> int:
+    try:
+        return int(token)
+    except ValueError as exc:  # more digits than the int-string limit
+        raise ModelSyntaxError(line, str(exc)) from None
 
 
 def _parse_prob(token: str, line: int) -> Fraction:
-    if not _PROB.match(token):
-        raise ModelSyntaxError(line, f"bad probability {token!r} (want p/q, 0 or 1)")
-    if "/" in token and token.split("/")[1].strip("0") == "":
-        raise ModelSyntaxError(line, f"zero denominator in {token!r}")
-    value = Fraction(token)
+    try:
+        value = _fraction(token, "probability")
+    except ValueError as exc:
+        raise ModelSyntaxError(line, str(exc)) from None
     if value > 1:
         raise ProbabilityOutOfRangeError(line, f"probability {token} exceeds 1")
     return value
@@ -88,7 +103,7 @@ def parse(text: str) -> Dtmc:
                 raise ModelSyntaxError(
                     line_no, f"expected 'dtmc <n> <init>', got {stripped!r}"
                 )
-            header = (int(tokens[1]), int(tokens[2]))
+            header = (_parse_int(tokens[1], line_no), _parse_int(tokens[2], line_no))
             continue
         if len(tokens) != 3:
             raise ModelSyntaxError(
@@ -98,7 +113,7 @@ def parse(text: str) -> Dtmc:
             raise ModelSyntaxError(
                 line_no, "source and destination must be positive integers"
             )
-        src, dst = int(tokens[0]), int(tokens[1])
+        src, dst = _parse_int(tokens[0], line_no), _parse_int(tokens[1], line_no)
         n = header[0]
         if not (1 <= src <= n and 1 <= dst <= n):
             raise ModelSyntaxError(
@@ -145,9 +160,7 @@ def _parse_states_csv(text: str) -> list[int]:
 
 def _parse_threshold(text: str) -> Fraction:
     text = text.strip()
-    if not _PROB.match(text):
-        raise ValueError(f"bad threshold {text!r} (want p/q, 0 or 1)")
-    value = Fraction(text)
+    value = _fraction(text, "threshold")
     if value > 1:
         raise ValueError(f"threshold {text} exceeds 1")
     return value
@@ -199,20 +212,15 @@ def _cmd_refine(args: argparse.Namespace, d: Dtmc) -> int:
             f" path={_fmt_path(report.witness_path)}"
             f" prob={_fmt(report.witness_prob)}"
         )
-        if args.concretize:
-            concrete = concretize_witness(
-                d, seq[: report.step_index + 1], report.witness_path
-            )
-            line += f" concrete={_fmt_path(concrete)}"
-        print(line)
-        return 3
-    line = f"OK best={_fmt(report.witness_prob)}"
+    else:
+        line = f"OK best={_fmt(report.witness_prob)}"
     if args.concretize and report.witness_path:
-        upto = len(seq) if report.step_index is None else report.step_index + 1
-        concrete = concretize_witness(d, seq[:upto], report.witness_path)
+        concrete = concretize_witness(
+            d, seq[: report.step_index + 1], report.witness_path
+        )
         line += f" concrete={_fmt_path(concrete)}"
     print(line)
-    return 0
+    return 3 if report.violated else 0
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.  Every
 tolerance is exact rational equality unless a bound is stated inline.
 """
 
+import os
 import random
 import subprocess
 import sys
@@ -29,6 +30,7 @@ from helpers import (
     random_subset,
     submatrix_power_entry,
 )
+import pathfold
 from pathfold.abstraction import frontier, path_abstract, path_abstract_seq
 from pathfold.checker import model_check, refine
 from pathfold.cli import parse, serialize
@@ -43,6 +45,14 @@ from pathfold.words import (
 )
 
 EXAMPLE = Path(__file__).parent / "data" / "example8.dtmc"
+# Child interpreters import the same pathfold as this process, installed or not.
+_PACKAGE_ROOT = str(Path(pathfold.__file__).parents[1])
+PACKAGE_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(
+        filter(None, [_PACKAGE_ROOT, os.getenv("PYTHONPATH")])
+    ),
+}
 
 
 def _ok(number: int, text: str) -> None:
@@ -272,6 +282,7 @@ def test_criterion_9_round_trip_and_determinism():
             [sys.executable, "-m", "pathfold", "check", str(EXAMPLE), "--goal", "7,8"],
             capture_output=True,
             check=True,
+            env=PACKAGE_ENV,
         ).stdout
         for _ in range(3)
     ]

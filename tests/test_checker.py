@@ -130,6 +130,19 @@ def test_best_path_same_endpoints_is_trivial(me):
     assert most_probable_path(me, 3, 3) == ((3,), Fraction(1))
 
 
+def test_best_path_within_stays_inside_the_given_states(me):
+    assert most_probable_path(me, 1, 7, within={2, 3, 4}) == (
+        (1, 2, 3, 4, 7),
+        Fraction(5, 54),
+    )
+    assert most_probable_path(me, 1, 7, within={3, 4, 5, 6}) == (
+        (1, 3, 4, 7),
+        Fraction(1, 36),
+    )
+    assert most_probable_path(me, 1, 7, within={2, 5, 6}) == ((), Fraction(0))
+    assert most_probable_path(me, 1, 7, within=set()) == ((), Fraction(0))
+
+
 def test_best_path_dominates_random_paths(me):
     rng = random.Random(107)
     _, best = most_probable_path(me, 1, 7)

@@ -1,6 +1,7 @@
 """Text format parsing, canonical serialization, and the three commands."""
 
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,6 +21,10 @@ from pathfold.core import InitOutOfRangeError, RowSumExceedsOneError
 
 DATA = Path(__file__).parent / "data"
 EXAMPLE = DATA / "example8.dtmc"
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_digit_limit = pytest.mark.skipif(
+    DIGIT_LIMIT == 0, reason="this interpreter converts int strings of any length"
+)
 
 
 # --- parsing -----------------------------------------------------------------
@@ -56,7 +61,7 @@ def test_parse_rejects_probability_above_one():
 
 
 def test_parse_rejects_malformed_probability():
-    for bad in ("0.5", "-1/2", "1/2/3", "x"):
+    for bad in ("0.5", "-1/2", "1/2/3", "x", "\u0661/\u0662", "\u0661"):
         with pytest.raises(ModelSyntaxError):
             parse(f"dtmc 2 1\n1 2 {bad}\n")
 
@@ -69,6 +74,16 @@ def test_parse_rejects_bare_integer_above_one():
 def test_parse_rejects_zero_denominator():
     with pytest.raises(ModelSyntaxError):
         parse("dtmc 2 1\n1 2 1/0\n")
+
+
+@needs_digit_limit
+def test_parse_rejects_number_past_digit_limit():
+    with pytest.raises(ModelSyntaxError) as info:
+        parse("dtmc 2 1\n1 2 1/" + "1" * (DIGIT_LIMIT + 100) + "\n")
+    assert info.value.line == 2
+    with pytest.raises(ModelSyntaxError) as info:
+        parse("dtmc 2 1\n2 2 1\n" + "1" * (DIGIT_LIMIT + 100) + " 2 1/2\n")
+    assert info.value.line == 3
 
 
 def test_parse_rejects_duplicate_transition():
@@ -180,10 +195,28 @@ def test_check_command_init_goal_exits_2(capsys, tmp_path):
 
 def test_check_command_parse_error_exits_1(capsys, tmp_path):
     bad = tmp_path / "bad.dtmc"
-    bad.write_text("dtmc 2 1\n1 2 3/2\n")
-    code, _, err = run(capsys, "check", str(bad), "--goal", "2")
+    for prob in ("3/2", "\u0661/\u0662"):
+        bad.write_text(f"dtmc 2 1\n1 2 {prob}\n", encoding="utf-8")
+        code, _, err = run(capsys, "check", str(bad), "--goal", "2")
+        assert code == 1
+        assert "line 2" in err
+
+
+@needs_digit_limit
+def test_check_command_number_past_digit_limit_exits_1(capsys, tmp_path):
+    bad = tmp_path / "huge.dtmc"
+    bad.write_text("dtmc 2 1\n1 2 1/" + "1" * (DIGIT_LIMIT + 100) + "\n")
+    code, out, err = run(capsys, "check", str(bad), "--goal", "2")
     assert code == 1
-    assert "line 2" in err
+    assert out == ""
+    assert err.startswith("error: line 2: ")
+
+
+def test_check_command_non_ascii_goal_exits_2(capsys):
+    code, out, err = run(capsys, "check", str(EXAMPLE), "--goal", "\u0667,8")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_check_command_missing_file_exits_1(capsys, tmp_path):
@@ -332,16 +365,17 @@ def test_refine_command_non_absorbing_target_exits_2(capsys):
 
 
 def test_refine_command_bad_threshold_exits_2(capsys):
-    code, _, err = run(
-        capsys,
-        "refine",
-        str(EXAMPLE),
-        "--target",
-        "7",
-        "--threshold",
-        "0.4",
-        "--seq",
-        "2,5,6",
-    )
-    assert code == 2
-    assert "threshold" in err
+    for bad in ("0.4", "1/0", "00/0"):
+        code, _, err = run(
+            capsys,
+            "refine",
+            str(EXAMPLE),
+            "--target",
+            "7",
+            "--threshold",
+            bad,
+            "--seq",
+            "2,5,6",
+        )
+        assert code == 2
+        assert "threshold" in err

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import K, S0, S1, S2, random_dtmc, random_subset
+import pathfold
 from pathfold.abstraction import path_abstract, prune_isolated
 from pathfold.core import (
     Dtmc,
@@ -139,3 +140,14 @@ def test_pipeline_outputs_stay_in_lowest_terms():
             for p in row:
                 assert p.denominator > 0
                 assert math.gcd(abs(p.numerator), p.denominator) == 1
+
+
+def test_package_root_exports_only_the_documented_names():
+    assert pathfold.__all__ == [
+        "Dtmc",
+        "DtmcError",
+        "model_check",
+        "path_abstract",
+        "refine",
+    ]
+    assert all(hasattr(pathfold, name) for name in pathfold.__all__)
