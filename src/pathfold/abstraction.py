@@ -7,12 +7,18 @@ route through the subset is replaced by a single transition carrying the
 route set's total probability.  Reachability probabilities from the
 initial state are preserved exactly; the state space itself never changes
 (dropping states that become isolated is a separate, explicit step).
+
+The solve eliminates over Python ints on sparse rows: each row is scaled
+to integers once, combined with pivot rows by cross-multiplication and
+kept divided by the gcd of its entries, so no rational is normalised
+until the answer is read off and zero entries cost nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable
 
 from .core import Dtmc, DtmcError, StateSet, state_set
@@ -101,28 +107,81 @@ def linear_system(d: Dtmc, fr: FrontierSets) -> LinearSystem:
 
 
 def solve_linear(system: LinearSystem) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact Gauss-Jordan elimination with multiple right-hand sides.
+    """Exact solve of ``a @ q = b`` by fraction-free elimination on sparse rows.
 
-    Pivots on the first nonzero entry in each column; magnitude pivoting
-    buys nothing in exact arithmetic.
+    Each row of ``[a | b]`` is scaled to integers by the lcm of its
+    denominators and kept as a ``{column: int}`` map of its nonzero entries.
+    Column by column, the first remaining row with a nonzero entry there
+    becomes the pivot row; every other remaining row with a nonzero entry
+    in that column is replaced by the integer combination that cancels it
+    and then divided by the gcd of its entries, so it stays the smallest
+    integer multiple of the exact eliminated row.  Rows already zero in the
+    column are never touched, which keeps banded systems linear.  Back
+    substitution runs over integer numerators with one denominator per
+    row; ``Fraction``s are built only for the returned entries.
     """
-    a = [list(row) for row in system.a]
-    b = [list(row) for row in system.b]
-    m = len(a)
+    m = len(system.a)
+    remaining = []
+    for arow, brow in zip(system.a, system.b):
+        entries = [(c, x) for c, x in enumerate((*arow, *brow)) if x]
+        scale = lcm(*(x.denominator for _, x in entries))
+        remaining.append({c: x.numerator * scale // x.denominator for c, x in entries})
+    pivots = []
     for col in range(m):
-        piv = next((r for r in range(col, m) if a[r][col] != 0), None)
+        piv = next((row for row in remaining if col in row), None)
         if piv is None:
             raise SingularMatrixError(f"no pivot in column {col}")
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            b[col], b[piv] = b[piv], b[col]
-        pivot = a[col][col]
-        for r in range(m):
-            if r != col and a[r][col] != 0:
-                f = a[r][col] / pivot
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                b[r] = [x - f * y for x, y in zip(b[r], b[col])]
-    return tuple(tuple(x / a[r][r] for x in b[r]) for r in range(m))
+        pivots.append(piv)
+        remaining = [
+            row if col not in row else _cancel(row, piv, col)
+            for row in remaining
+            if row is not piv
+        ]
+    return _back_substitute(pivots, m, len(system.b[0]) if m else 0)
+
+
+def _cancel(row: dict[int, int], piv: dict[int, int], col: int) -> dict[int, int]:
+    """``row`` minus the multiple of ``piv`` that zeroes column ``col``,
+    cross-multiplied to stay integral and divided by its content."""
+    p, f = piv[col], row[col]
+    g = gcd(p, f)
+    p, f = p // g, f // g
+    out = {c: p * x for c, x in row.items()}
+    for c, x in piv.items():
+        y = out.get(c, 0) - f * x
+        if y:
+            out[c] = y
+        else:
+            del out[c]
+    g = gcd(*out.values())
+    return out if g == 1 else {c: x // g for c, x in out.items()}
+
+
+def _back_substitute(
+    pivots: list[dict[int, int]], m: int, k: int
+) -> tuple[tuple[Fraction, ...], ...]:
+    """Solve the upper-triangular integer rows from the last one up.
+
+    Row ``r``'s solution is held as numerators over one common
+    denominator, of either sign; the right-hand side starts at column ``m``.
+    """
+    dens = [0] * m
+    nums: list[list[int]] = [[]] * m
+    for r in range(m - 1, -1, -1):
+        row = pivots[r]
+        later = [(c, x) for c, x in row.items() if r < c < m]
+        common = lcm(*(dens[c] for c, _ in later))
+        acc = [row.get(m + j, 0) * common for j in range(k)]
+        for c, x in later:
+            w = x * (common // dens[c])
+            acc = [a - w * y for a, y in zip(acc, nums[c])]
+        den = row[r] * common
+        g = gcd(den, *acc)
+        dens[r] = den // g
+        nums[r] = [a // g for a in acc]
+    return tuple(
+        tuple(Fraction(a, den) for a in num) for num, den in zip(nums, dens)
+    )
 
 
 def path_abstract(d: Dtmc, subset: Iterable[int]) -> Dtmc:

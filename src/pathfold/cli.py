@@ -134,12 +134,32 @@ def parse(text: str) -> Dtmc:
 def serialize(d: Dtmc) -> str:
     """Canonical text form: header, then positive entries sorted by (src, dst)."""
     lines = [f"dtmc {d.n} {d.init}"]
-    lines += [f"{s} {t} {p.numerator}/{p.denominator}" for s, t, p in d.transitions()]
+    lines += [f"{s} {t} {_fmt(p)}" for s, t, p in d.transitions()]
     return "\n".join(lines) + "\n"
 
 
+_CHUNK_DIGITS = 600
+_CHUNK = 10**_CHUNK_DIGITS
+
+
+def _decimal(n: int) -> str:
+    """``str(n)`` for a nonnegative int of any length.
+
+    Python refuses to convert an int of more than 4300 digits (by default;
+    at least 640 however configured) to a string in one piece, yet an exact
+    answer can be that long.  Such an int is written out in 600-digit
+    chunks instead, so the limit still guards parsing.
+    """
+    chunks = []
+    while n >= _CHUNK:
+        n, low = divmod(n, _CHUNK)
+        chunks.append(str(low).zfill(_CHUNK_DIGITS))
+    chunks.append(str(n))
+    return "".join(reversed(chunks))
+
+
 def _fmt(p: Fraction) -> str:
-    return f"{p.numerator}/{p.denominator}"
+    return f"{_decimal(p.numerator)}/{_decimal(p.denominator)}"
 
 
 def _fmt_path(path) -> str:
@@ -149,13 +169,14 @@ def _fmt_path(path) -> str:
 def _parse_states_csv(text: str) -> list[int]:
     if not text.strip():
         return []
-    out = []
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if not _INT.match(chunk):
-            raise ValueError(f"bad state index {chunk!r}")
-        out.append(int(chunk))
-    return out
+    return [_parse_state(chunk) for chunk in text.split(",")]
+
+
+def _parse_state(text: str) -> int:
+    text = text.strip()
+    if not _INT.match(text):
+        raise ValueError(f"bad state index {text!r}")
+    return int(text)
 
 
 def _parse_threshold(text: str) -> Fraction:
@@ -205,7 +226,7 @@ def _cmd_refine(args: argparse.Namespace, d: Dtmc) -> int:
     ]
     if not seq:
         raise ValueError("--seq needs at least one abstraction set")
-    report = refine(d, args.target, threshold, seq)
+    report = refine(d, _parse_state(args.target), threshold, seq)
     if report.violated:
         line = (
             f"VIOLATED step={report.step_index}"
@@ -262,7 +283,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "refine", help="threshold check along a sequence of collapse steps"
     )
     refine_cmd.add_argument("file", help="model file")
-    refine_cmd.add_argument("--target", required=True, type=int)
+    refine_cmd.add_argument("--target", required=True)
     refine_cmd.add_argument("--threshold", required=True, help="p/q, 0 or 1")
     refine_cmd.add_argument(
         "--seq",

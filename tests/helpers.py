@@ -7,6 +7,7 @@ import random
 from fractions import Fraction
 from itertools import product
 
+from pathfold.abstraction import LinearSystem, SingularMatrixError
 from pathfold.core import Dtmc
 from pathfold.words import path_prob
 
@@ -252,3 +253,26 @@ def submatrix_power_entry(d: Dtmc, subset, power: int, s: int, r: int) -> Fracti
             for i in range(len(inside))
         ]
     return acc[idx[s]][idx[r]]
+
+
+def gauss_jordan_solve(system: LinearSystem) -> tuple[tuple[Fraction, ...], ...]:
+    """Dense Gauss-Jordan elimination over ``Fraction`` with multiple
+    right-hand sides, pivoting on the first nonzero entry in each column:
+    the reference the sparse integer solver is checked against."""
+    a = [list(row) for row in system.a]
+    b = [list(row) for row in system.b]
+    m = len(a)
+    for col in range(m):
+        piv = next((r for r in range(col, m) if a[r][col] != 0), None)
+        if piv is None:
+            raise SingularMatrixError(f"no pivot in column {col}")
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            b[col], b[piv] = b[piv], b[col]
+        pivot = a[col][col]
+        for r in range(m):
+            if r != col and a[r][col] != 0:
+                f = a[r][col] / pivot
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+                b[r] = [x - f * y for x, y in zip(b[r], b[col])]
+    return tuple(tuple(x / a[r][r] for x in b[r]) for r in range(m))

@@ -379,3 +379,52 @@ def test_refine_command_bad_threshold_exits_2(capsys):
         )
         assert code == 2
         assert "threshold" in err
+
+
+def _tiny_steps_chain(path: Path) -> None:
+    """7 states: five 1/10^1000 steps from 1 to 6, the rest of each row to 7."""
+    step = "1/1" + "0" * 1000
+    rest = "9" * 1000 + "/1" + "0" * 1000
+    lines = ["dtmc 7 1"]
+    for s in range(1, 6):
+        lines += [f"{s} {s + 1} {step}", f"{s} 7 {rest}"]
+    lines += ["6 6 1", "7 7 1"]
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_huge_exact_answer_prints(capsys, tmp_path):
+    model = tmp_path / "tiny.dtmc"
+    _tiny_steps_chain(model)
+    den = "1" + "0" * 5000
+    to_6 = f"1/{den}"
+    to_7 = f"{'9' * 5000}/{den}"
+
+    code, out, err = run(capsys, "check", str(model), "--goal", "6,7")
+    assert (code, err) == (0, "")
+    assert out == f"6 {to_6}\n7 {to_7}\ntotal 1/1\n"
+
+    code, out, err = run(capsys, "check", str(model), "--goal", "6,7", "--json")
+    assert (code, err) == (0, "")
+    assert out == f'{{"6": "{to_6}", "7": "{to_7}", "total": "1/1"}}\n'
+
+    code, out, err = run(capsys, "abstract", str(model), "--set", "1,2,3,4,5")
+    assert (code, err) == (0, "")
+    assert f"1 6 {to_6}" in out.splitlines()
+    assert f"1 7 {to_7}" in out.splitlines()
+
+
+def test_refine_command_non_ascii_target_exits_2(capsys):
+    code, out, err = run(
+        capsys,
+        "refine",
+        str(EXAMPLE),
+        "--target",
+        "٧",
+        "--threshold",
+        "4/9",
+        "--seq",
+        "1,2,3,4",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")

@@ -1,0 +1,123 @@
+"""Differential check of the sparse integer solver against the dense
+Gauss-Jordan oracle, on raw linear systems and through the collapse."""
+
+import random
+from fractions import Fraction
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import (
+    entry_map,
+    gauss_jordan_solve,
+    random_dtmc,
+    random_subset,
+    random_substochastic,
+)
+from pathfold import abstraction
+from pathfold.abstraction import (
+    LinearSystem,
+    SingularMatrixError,
+    path_abstract,
+    solve_linear,
+)
+from pathfold.core import Dtmc
+
+ZERO = Fraction(0)
+
+
+@st.composite
+def systems(draw):
+    """Square systems of size 1-12 with 1-3 right-hand-side columns: dense,
+    sparse, tridiagonal, or with a last row combined from two others."""
+    m = draw(st.integers(1, 12))
+    k = draw(st.integers(1, 3))
+    shape = draw(st.sampled_from(["dense", "sparse", "tridiagonal", "dependent"]))
+    density = draw(st.floats(0.05, 0.5)) if shape == "sparse" else 1.0
+    rng = random.Random(draw(st.integers(0, 2**32)))
+
+    def value(chance):
+        if rng.random() >= chance:
+            return ZERO
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+
+    band = m if shape != "tridiagonal" else 1
+    a = [
+        [value(density) if abs(i - j) <= band else ZERO for j in range(m)]
+        for i in range(m)
+    ]
+    b = [[value(0.7) for _ in range(k)] for _ in range(m)]
+    if shape == "dependent" and m >= 3:
+        x, y = value(1), value(1)
+        a[-1] = [x * p + y * q for p, q in zip(a[0], a[1])]
+    return LinearSystem(tuple(map(tuple, a)), tuple(map(tuple, b)))
+
+
+def _outcome(solver, system):
+    try:
+        return solver(system)
+    except SingularMatrixError:
+        return SingularMatrixError
+
+
+@settings(max_examples=400)
+@given(systems())
+def test_solve_linear_equals_gauss_jordan(system):
+    assert _outcome(solve_linear, system) == _outcome(gauss_jordan_solve, system)
+
+
+def test_solve_linear_differential_covers_both_outcomes():
+    seen = set()
+
+    @settings(max_examples=200)
+    @given(systems())
+    def record(system):
+        seen.add(_outcome(solve_linear, system) is SingularMatrixError)
+
+    record()
+    assert seen == {True, False}
+
+
+def test_solve_linear_long_tridiagonal_matches_oracle():
+    # a gambler's-ruin hitting system: banded, so elimination fills nothing in
+    m, p = 60, Fraction(2, 5)
+    diagonals = {-1: p - 1, 0: Fraction(1), 1: -p}
+    a = [[diagonals.get(j - i, ZERO) for j in range(m)] for i in range(m)]
+    b = [[p if i == m - 1 else ZERO, 1 - p if i == 0 else ZERO] for i in range(m)]
+    system = LinearSystem(tuple(map(tuple, a)), tuple(map(tuple, b)))
+    assert solve_linear(system) == gauss_jordan_solve(system)
+
+
+def _trapping_dtmc(rng: random.Random, n: int) -> Dtmc:
+    """Stochastic chain with a closed region that no route leaves."""
+    d = random_dtmc(rng, n)
+    trap = sorted(random_subset(rng, d.states(), allow_empty=False))
+    rows = [[d.prob(s, t) for t in d.states()] for s in d.states()]
+    for s in trap:
+        targets = rng.sample(trap, rng.randint(1, len(trap)))
+        share = Fraction(1, len(targets))
+        rows[s - 1] = [share if t in targets else ZERO for t in d.states()]
+    return Dtmc.from_rows(d.init, rows)
+
+
+MODELS = {
+    "stochastic": random_dtmc,
+    "substochastic": random_substochastic,
+    "trapping": _trapping_dtmc,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MODELS))
+@settings(max_examples=150)
+@given(seed=st.integers(0, 2**32), n=st.integers(1, 9))
+def test_path_abstract_equals_oracle_collapse(kind, seed, n):
+    rng = random.Random(seed)
+    d = MODELS[kind](rng, n)
+    subset = random_subset(rng, d.states())
+    new = path_abstract(d, subset)
+    with mock.patch.object(abstraction, "solve_linear", gauss_jordan_solve):
+        old = path_abstract(d, subset)
+    assert entry_map(new) == entry_map(old)
+    assert (new.n, new.init) == (old.n, old.init)
