@@ -1,8 +1,9 @@
 """Numerical collapse of a state subset into direct border transitions.
 
 Given a subset, the states it can be entered and left through are
-identified, the expected visit mass inside the subset is obtained from an
-exact rational linear solve, and a new matrix is assembled in which every
+identified, the probability of leaving the subset through each exit is
+obtained from one exact rational linear solve whose right-hand side is the
+one-step exit probabilities, and a new matrix is assembled in which every
 route through the subset is replaced by a single transition carrying the
 route set's total probability.  Reachability probabilities from the
 initial state are preserved exactly; the state space itself never changes
@@ -31,7 +32,7 @@ class SingularMatrixError(DtmcError):
 
 @dataclass(frozen=True)
 class FrontierSets:
-    """The five state sets steering one collapse step.
+    """The four state sets steering one collapse step.
 
     ``interior_zero``
         Members of the subset, other than the initial state, with no
@@ -42,27 +43,26 @@ class FrontierSets:
         Outside states fed directly from the subset.
     ``reaching``
         Members with a route to an exit that stays inside the subset.
-    ``reaching_one_step``
-        Members that feed an exit directly.
     """
 
     interior_zero: StateSet
     entries: StateSet
     exits: StateSet
     reaching: StateSet
-    reaching_one_step: StateSet
 
 
 @dataclass(frozen=True)
 class LinearSystem:
-    """``a @ q = b`` over the reaching set; ``b`` selects one-step exiters."""
+    """``a @ q = b`` over the reaching set: ``a`` is ``I - P`` there and ``b``
+    holds the one-step exit probabilities, so row ``i`` of ``q`` is reaching
+    state ``i``'s probability of leaving through each exit."""
 
     a: tuple[tuple[Fraction, ...], ...]
     b: tuple[tuple[Fraction, ...], ...]
 
 
 def frontier(d: Dtmc, subset: Iterable[int]) -> FrontierSets:
-    """Compute all five frontier sets for collapsing ``subset``."""
+    """Compute all four frontier sets for collapsing ``subset``."""
     s1 = state_set(subset, d.n)
     outside = [s for s in d.states() if s not in s1]
     interior = frozenset(
@@ -70,8 +70,7 @@ def frontier(d: Dtmc, subset: Iterable[int]) -> FrontierSets:
     )
     exits = frozenset(t for t in outside if any(d.prob(s, t) > 0 for s in s1))
     reaching = reach_backward(d, s1, exits)
-    one_step = frozenset(r for r in s1 if any(d.prob(r, t) > 0 for t in exits))
-    return FrontierSets(interior, s1 - interior, exits, reaching, one_step)
+    return FrontierSets(interior, s1 - interior, exits, reaching)
 
 
 def reach_backward(d: Dtmc, subset: Iterable[int], exits: Iterable[int]) -> StateSet:
@@ -94,15 +93,13 @@ def reach_backward(d: Dtmc, subset: Iterable[int], exits: Iterable[int]) -> Stat
 
 
 def linear_system(d: Dtmc, fr: FrontierSets) -> LinearSystem:
-    """Assemble the exact hitting system for one collapse step."""
+    """Assemble the exact exit system for one collapse step; rows follow
+    ``sorted(fr.reaching)``, ``b``'s columns ``sorted(fr.exits)``."""
     u = sorted(fr.reaching)
-    u1 = sorted(fr.reaching_one_step)
+    exits = sorted(fr.exits)
     one, zero = Fraction(1), Fraction(0)
-    a = tuple(
-        tuple((one if i == j else zero) - d.prob(u[i], u[j]) for j in range(len(u)))
-        for i in range(len(u))
-    )
-    b = tuple(tuple(one if row == col else zero for col in u1) for row in u)
+    a = tuple(tuple((one if r == c else zero) - d.prob(r, c) for c in u) for r in u)
+    b = tuple(tuple(d.prob(r, t) for t in exits) for r in u)
     return LinearSystem(a, b)
 
 
@@ -205,18 +202,13 @@ def path_abstract(d: Dtmc, subset: Iterable[int]) -> Dtmc:
         for t in d.states():
             if t not in fr.interior_zero:
                 row[t - 1] = d.prob(s, t)
-    sources = sorted(fr.entries & fr.reaching)
-    if sources and fr.exits:
-        u = sorted(fr.reaching)
-        u1 = sorted(fr.reaching_one_step)
-        q = solve_linear(linear_system(d, fr))
-        row_of = {state: i for i, state in enumerate(u)}
+    sources = fr.entries & fr.reaching
+    if sources:
+        q = dict(zip(sorted(fr.reaching), solve_linear(linear_system(d, fr))))
+        exits = sorted(fr.exits)
         for s in sources:
-            qrow = q[row_of[s]]
-            for t in sorted(fr.exits):
-                rows[s - 1][t - 1] = sum(
-                    (qrow[j] * d.prob(u1[j], t) for j in range(len(u1))), zero
-                )
+            for t, p in zip(exits, q[s]):
+                rows[s - 1][t - 1] = p
     return Dtmc.from_rows(d.init, rows)
 
 

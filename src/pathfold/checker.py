@@ -8,9 +8,9 @@ from fractions import Fraction
 from itertools import pairwise
 from typing import Iterable
 
-from .abstraction import frontier, path_abstract
+from .abstraction import path_abstract
 from .core import Dtmc, DtmcError, StateSet, non_absorbing, state_set
-from .scc import abstract_recursive, abstract_via_sccs, nontrivial_sccs
+from .scc import abstract_nested, abstract_via_sccs, nontrivial_sccs
 from .words import Word, path_prob, splice
 
 METHODS = ("direct", "scc", "recursive")
@@ -81,22 +81,11 @@ def model_check(
     elif method == "scc":
         final = abstract_via_sccs(d, k)
     elif method == "recursive":
-        final = _recursive_over(d, k)
+        final = abstract_nested(d, nontrivial_sccs(d, k), k)
     else:
         raise ValueError(f"unknown method {method!r}; pick one of {METHODS}")
     per_goal = {g: final.prob(d.init, g) for g in sorted(goal_set)}
     return ReachabilityResult(per_goal, sum(per_goal.values(), Fraction(0)))
-
-
-def _recursive_over(d: Dtmc, k: StateSet) -> Dtmc:
-    current = d
-    for comp in nontrivial_sccs(d, k):
-        # A component nothing enters any more cannot anchor the recursion;
-        # the final collapse of k wipes it out regardless.
-        if frontier(current, comp).interior_zero == comp:
-            continue
-        current = abstract_recursive(current, comp)
-    return path_abstract(current, k)
 
 
 def most_probable_path(

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
-Rational = Fraction
-
 StateSet = frozenset[int]
 
 

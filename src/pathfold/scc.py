@@ -152,7 +152,23 @@ def abstract_recursive(d: Dtmc, subset: Iterable[int]) -> Dtmc:
     interior = frontier(d, s1).interior_zero
     if interior == s1:
         raise NonTerminatingInteriorError(f"{sorted(s1)} has no entry state")
+    return abstract_nested(d, nontrivial_sccs(d, interior), s1)
+
+
+def abstract_nested(
+    d: Dtmc, comps: Iterable[Iterable[int]], subset: Iterable[int]
+) -> Dtmc:
+    """Collapse each of ``comps`` by :func:`abstract_recursive`, in order,
+    then ``subset``.
+
+    A component that nothing enters any more cannot anchor the recursion
+    and is skipped; the final collapse of ``subset`` wipes it out
+    regardless.
+    """
     current = d
-    for comp in nontrivial_sccs(d, interior):
-        current = abstract_recursive(current, comp)
-    return path_abstract(current, s1)
+    for comp in comps:
+        try:
+            current = abstract_recursive(current, comp)
+        except NonTerminatingInteriorError:
+            continue
+    return path_abstract(current, subset)

@@ -43,7 +43,6 @@ def test_frontier_worked_example(me):
     assert fr.entries == frozenset({2})
     assert fr.exits == frozenset({3, 8})
     assert fr.reaching == frozenset({2, 5, 6})
-    assert fr.reaching_one_step == frozenset({2, 6})
 
 
 def test_frontier_excludes_init_from_interior(me):
@@ -60,7 +59,7 @@ def test_frontier_invariants_random():
         assert not fr.interior_zero & fr.entries
         assert d.init not in fr.interior_zero
         assert not fr.exits & s1
-        assert fr.reaching_one_step <= fr.reaching <= s1
+        assert fr.reaching <= s1
 
 
 def test_reach_backward_worked_example(me):
@@ -98,8 +97,8 @@ def test_solve_scalar_division():
 def test_solve_worked_example_return_mass(me):
     fr = frontier(me, S1)
     q = solve_linear(linear_system(me, fr))
-    # reaching = [2, 5, 6], one-step exiters = [2, 6]
-    assert q[0][0] == Fraction(6, 5)
+    # reaching = [2, 5, 6], exits = [3, 8]
+    assert q[0] == (Fraction(4, 5), Fraction(1, 5))
 
 
 def test_solve_singular_raises():

@@ -225,6 +225,15 @@ def test_check_command_missing_file_exits_1(capsys, tmp_path):
     assert err
 
 
+def test_check_command_non_utf8_file_exits_1(capsys, tmp_path):
+    bad = tmp_path / "latin1.dtmc"
+    bad.write_bytes(b"# caf\xff\ndtmc 2 1\n1 2 1\n2 2 1\n")
+    code, out, err = run(capsys, "check", str(bad), "--goal", "2")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_abstract_command_collapse(capsys):
     code, out, _ = run(capsys, "abstract", str(EXAMPLE), "--set", "2,5,6")
     assert code == 0
