@@ -66,9 +66,12 @@ def frontier(d: Dtmc, subset: Iterable[int]) -> FrontierSets:
     s1 = state_set(subset, d.n)
     outside = [s for s in d.states() if s not in s1]
     interior = frozenset(
-        s for s in s1 if s != d.init and all(d.prob(r, s) == 0 for r in outside)
+        s for s in s1 if s != d.init and not any(d.rows[r - 1][s - 1] for r in outside)
     )
-    exits = frozenset(t for t in outside if any(d.prob(s, t) > 0 for s in s1))
+    inside = [d.rows[s - 1] for s in s1]
+    exits = frozenset(
+        t for row in inside for t in outside if row[t - 1] and row[t - 1] > 0
+    )
     reaching = reach_backward(d, s1, exits)
     return FrontierSets(interior, s1 - interior, exits, reaching)
 
@@ -82,11 +85,16 @@ def reach_backward(d: Dtmc, subset: Iterable[int], exits: Iterable[int]) -> Stat
     everything gathered except the exits themselves.
     """
     s1 = state_set(subset, d.n)
-    exit_set = frozenset(exits)
+    exit_set = state_set(exits, d.n)
     seen = set(exit_set)
     layer = set(exit_set)
     while layer:
-        nxt = {r for r in s1 if r not in seen and any(d.prob(r, x) > 0 for x in layer)}
+        cols = [x - 1 for x in layer]
+        nxt = set()
+        for r in s1 - seen:
+            row = d.rows[r - 1]
+            if any(row[c] and row[c] > 0 for c in cols):
+                nxt.add(r)
         seen |= nxt
         layer = nxt
     return frozenset(seen - exit_set)
@@ -95,12 +103,17 @@ def reach_backward(d: Dtmc, subset: Iterable[int], exits: Iterable[int]) -> Stat
 def linear_system(d: Dtmc, fr: FrontierSets) -> LinearSystem:
     """Assemble the exact exit system for one collapse step; rows follow
     ``sorted(fr.reaching)``, ``b``'s columns ``sorted(fr.exits)``."""
-    u = sorted(fr.reaching)
-    exits = sorted(fr.exits)
-    one, zero = Fraction(1), Fraction(0)
-    a = tuple(tuple((one if r == c else zero) - d.prob(r, c) for c in u) for r in u)
-    b = tuple(tuple(d.prob(r, t) for t in exits) for r in u)
-    return LinearSystem(a, b)
+    cols = [r - 1 for r in sorted(fr.reaching)]
+    exits = [t - 1 for t in sorted(fr.exits)]
+    zero = Fraction(0)
+    a = []
+    for i, r in enumerate(cols):
+        row = d.rows[r]
+        arow = [-row[c] if row[c] else zero for c in cols]
+        arow[i] = 1 - row[r]
+        a.append(tuple(arow))
+    b = tuple(tuple(d.rows[r][t] for t in exits) for r in cols)
+    return LinearSystem(tuple(a), b)
 
 
 def solve_linear(system: LinearSystem) -> tuple[tuple[Fraction, ...], ...]:
@@ -194,22 +207,28 @@ def path_abstract(d: Dtmc, subset: Iterable[int]) -> Dtmc:
     s1 = state_set(subset, d.n)
     fr = frontier(d, s1)
     zero = Fraction(0)
-    rows = [[zero] * d.n for _ in range(d.n)]
-    for s in d.states():
+    zero_row = (zero,) * d.n
+    cut = [t - 1 for t in fr.interior_zero]
+    rows = []
+    for s, row in enumerate(d.rows, 1):
         if s in s1:
-            continue
-        row = rows[s - 1]
-        for t in d.states():
-            if t not in fr.interior_zero:
-                row[t - 1] = d.prob(s, t)
+            row = zero_row
+        elif any(row[c] for c in cut):
+            row = list(row)
+            for c in cut:
+                row[c] = zero
+            row = tuple(row)
+        rows.append(row)
     sources = fr.entries & fr.reaching
     if sources:
         q = dict(zip(sorted(fr.reaching), solve_linear(linear_system(d, fr))))
-        exits = sorted(fr.exits)
+        exits = [t - 1 for t in sorted(fr.exits)]
         for s in sources:
-            for t, p in zip(exits, q[s]):
-                rows[s - 1][t - 1] = p
-    return Dtmc.from_rows(d.init, rows)
+            row = [zero] * d.n
+            for c, p in zip(exits, q[s]):
+                row[c] = p
+            rows[s - 1] = tuple(row)
+    return Dtmc(d.init, tuple(rows))
 
 
 def path_abstract_seq(d: Dtmc, subsets: Iterable[Iterable[int]]) -> Dtmc:
@@ -226,13 +245,14 @@ def prune_isolated(d: Dtmc) -> tuple[Dtmc, dict[int, int]]:
     Returns the smaller chain and the old-to-new index map of the kept
     states; probabilities are untouched.
     """
-    keep = [
-        s
-        for s in d.states()
-        if s == d.init
-        or any(d.prob(s, t) > 0 for t in d.states())
-        or any(d.prob(r, s) > 0 for r in d.states())
-    ]
+    used = {d.init}
+    for s, row in enumerate(d.rows, 1):
+        targets = [t for t, p in enumerate(row, 1) if p and p > 0]
+        if targets:
+            used.add(s)
+            used.update(targets)
+    keep = sorted(used)
     mapping = {old: new for new, old in enumerate(keep, start=1)}
-    rows = [[d.prob(s, t) for t in keep] for s in keep]
-    return Dtmc.from_rows(mapping[d.init], rows), mapping
+    cols = [t - 1 for t in keep]
+    rows = tuple(tuple(d.rows[s - 1][c] for c in cols) for s in keep)
+    return Dtmc(mapping[d.init], rows), mapping

@@ -104,7 +104,7 @@ def most_probable_path(
         raise ValueError(f"state pair ({src},{dst}) out of range 1..{d.n}")
     if src == dst:
         return (src,), Fraction(1)
-    scan = d.states() if within is None else sorted({*within, dst})
+    scan = d.states() if within is None else sorted({*state_set(within, d.n), dst})
     heap: list[tuple[Fraction, Word]] = [(Fraction(-1), (src,))]
     settled: set[int] = set()
     while heap:
@@ -115,9 +115,10 @@ def most_probable_path(
         settled.add(v)
         if v == dst:
             return path, -neg
+        row = d.rows[v - 1]
         for t in scan:
-            p = d.prob(v, t)
-            if p > 0 and t not in settled:
+            p = row[t - 1]
+            if p and p > 0 and t not in settled:
                 heapq.heappush(heap, (neg * p, path + (t,)))
     return (), Fraction(0)
 

@@ -55,7 +55,14 @@ class ValidationReport:
 
 @dataclass(frozen=True)
 class Dtmc:
-    """A (sub)stochastic matrix over states ``1..n`` plus an initial state."""
+    """A (sub)stochastic matrix over states ``1..n`` plus an initial state.
+
+    Built directly, ``Dtmc(init, rows)`` takes ``rows`` as they are: a tuple
+    of row tuples whose entries are all :class:`Fraction`.  Row tuples are
+    immutable and may be shared between chains, so a collapse reuses the
+    rows it leaves alone.  :meth:`from_rows` and :meth:`from_transitions`
+    accept any numbers and normalise them to that form.
+    """
 
     init: int
     rows: tuple[tuple[Fraction, ...], ...]
@@ -68,10 +75,13 @@ class Dtmc:
     def from_transitions(
         cls, n: int, init: int, transitions: Mapping[tuple[int, int], object]
     ) -> "Dtmc":
-        rows = [[Fraction(0)] * n for _ in range(n)]
+        zero = Fraction(0)
+        rows = [[zero] * n for _ in range(n)]
         for (s, t), p in transitions.items():
+            if not (1 <= s <= n and 1 <= t <= n):
+                raise ValueError(f"state pair ({s},{t}) out of range 1..{n}")
             rows[s - 1][t - 1] = Fraction(p)  # type: ignore[arg-type]
-        return cls.from_rows(init, rows)
+        return cls(init, tuple(map(tuple, rows)))
 
     @property
     def n(self) -> int:
@@ -93,14 +103,13 @@ class Dtmc:
 
     def transitions(self) -> Iterator[tuple[int, int, Fraction]]:
         """Positive entries in (src, dst) order."""
-        for s in self.states():
-            for t in self.states():
-                p = self.rows[s - 1][t - 1]
-                if p > 0:
+        for s, row in enumerate(self.rows, 1):
+            for t, p in enumerate(row, 1):
+                if p and p > 0:
                     yield s, t, p
 
     def transition_count(self) -> int:
-        return sum(1 for _ in self.transitions())
+        return sum(1 for row in self.rows for p in row if p and p > 0)
 
 
 def state_set(states: Iterable[int], n: int) -> StateSet:
@@ -124,10 +133,11 @@ def validate(d: Dtmc) -> ValidationReport:
     if any(len(row) != n for row in d.rows):
         raise ValidationError("matrix is not square")
     stochastic = True
-    for s in d.states():
+    for s, row in enumerate(d.rows, 1):
         total = Fraction(0)
-        for t in d.states():
-            p = d.rows[s - 1][t - 1]
+        for t, p in enumerate(row, 1):
+            if not p:
+                continue
             if p < 0:
                 raise NegativeEntryError(s, t, p)
             if p > 1:

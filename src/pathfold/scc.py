@@ -31,11 +31,10 @@ def sccs(d: Dtmc, subset: Iterable[int]) -> list[StateSet]:
     reach; ties break on the smallest member index.
     """
     vertices = sorted(state_set(subset, d.n))
-    members = set(vertices)
-    succ = {
-        v: [t for t in d.states() if t in members and d.prob(v, t) > 0]
-        for v in vertices
-    }
+    succ = {}
+    for v in vertices:
+        row = d.rows[v - 1]
+        succ[v] = [t for t in vertices if row[t - 1] and row[t - 1] > 0]
     return _order_components(_tarjan(vertices, succ), succ)
 
 

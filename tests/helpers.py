@@ -7,8 +7,8 @@ import random
 from fractions import Fraction
 from itertools import product
 
-from pathfold.abstraction import LinearSystem, SingularMatrixError
-from pathfold.core import Dtmc
+from pathfold.abstraction import FrontierSets, LinearSystem, SingularMatrixError
+from pathfold.core import Dtmc, state_set
 from pathfold.words import path_prob
 
 ME_TRANSITIONS = {
@@ -137,6 +137,25 @@ def random_subset(rng: random.Random, pool, allow_empty: bool = True) -> frozens
     pool = sorted(pool)
     k = rng.randint(0 if allow_empty else 1, len(pool))
     return frozenset(rng.sample(pool, k))
+
+
+def random_trapping(rng: random.Random, n: int) -> Dtmc:
+    """Stochastic chain with a closed region that no route leaves."""
+    d = random_dtmc(rng, n)
+    trap = sorted(random_subset(rng, d.states(), allow_empty=False))
+    rows = [[d.prob(s, t) for t in d.states()] for s in d.states()]
+    for s in trap:
+        targets = rng.sample(trap, rng.randint(1, len(trap)))
+        share = Fraction(1, len(targets))
+        rows[s - 1] = [share if t in targets else Fraction(0) for t in d.states()]
+    return Dtmc.from_rows(d.init, rows)
+
+
+MODELS = {
+    "stochastic": random_dtmc,
+    "substochastic": random_substochastic,
+    "trapping": random_trapping,
+}
 
 
 def random_goal_model(
@@ -276,3 +295,56 @@ def gauss_jordan_solve(system: LinearSystem) -> tuple[tuple[Fraction, ...], ...]
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
                 b[r] = [x - f * y for x, y in zip(b[r], b[col])]
     return tuple(tuple(x / a[r][r] for x in b[r]) for r in range(m))
+
+
+# Entry-by-entry references for the layers that scan ``Dtmc.rows``
+# directly: each reads every entry through the bounds-checked ``Dtmc.prob``.
+
+
+def transition_count_by_prob(d: Dtmc) -> int:
+    return sum(1 for s in d.states() for t in d.states() if d.prob(s, t) > 0)
+
+
+def reach_backward_by_prob(d: Dtmc, subset, exits) -> frozenset[int]:
+    s1 = state_set(subset, d.n)
+    exit_set = frozenset(exits)
+    seen = set(exit_set)
+    layer = set(exit_set)
+    while layer:
+        nxt = {r for r in s1 if r not in seen and any(d.prob(r, x) > 0 for x in layer)}
+        seen |= nxt
+        layer = nxt
+    return frozenset(seen - exit_set)
+
+
+def frontier_by_prob(d: Dtmc, subset) -> FrontierSets:
+    s1 = state_set(subset, d.n)
+    outside = [s for s in d.states() if s not in s1]
+    interior = frozenset(
+        s for s in s1 if s != d.init and all(d.prob(r, s) == 0 for r in outside)
+    )
+    exits = frozenset(t for t in outside if any(d.prob(s, t) > 0 for s in s1))
+    reaching = reach_backward_by_prob(d, s1, exits)
+    return FrontierSets(interior, s1 - interior, exits, reaching)
+
+
+def linear_system_by_prob(d: Dtmc, fr: FrontierSets) -> LinearSystem:
+    u = sorted(fr.reaching)
+    exits = sorted(fr.exits)
+    one, zero = Fraction(1), Fraction(0)
+    a = tuple(tuple((one if r == c else zero) - d.prob(r, c) for c in u) for r in u)
+    b = tuple(tuple(d.prob(r, t) for t in exits) for r in u)
+    return LinearSystem(a, b)
+
+
+def prune_isolated_by_prob(d: Dtmc) -> tuple[Dtmc, dict[int, int]]:
+    keep = [
+        s
+        for s in d.states()
+        if s == d.init
+        or any(d.prob(s, t) > 0 for t in d.states())
+        or any(d.prob(r, s) > 0 for r in d.states())
+    ]
+    mapping = {old: new for new, old in enumerate(keep, start=1)}
+    rows = [[d.prob(s, t) for t in keep] for s in keep]
+    return Dtmc.from_rows(mapping[d.init], rows), mapping

@@ -76,6 +76,12 @@ def test_reach_backward_chained_exits(me):
     assert reach_backward(me, {3, 4}, {7, 8}) == frozenset({3, 4})
 
 
+def test_reach_backward_rejects_out_of_range_exits(me):
+    for exits in ({0}, {8, 9}):
+        with pytest.raises(ValueError):
+            reach_backward(me, S1, exits)
+
+
 # --- the exact solver -----------------------------------------------------
 
 

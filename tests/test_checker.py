@@ -143,6 +143,12 @@ def test_best_path_within_stays_inside_the_given_states(me):
     assert most_probable_path(me, 1, 7, within=set()) == ((), Fraction(0))
 
 
+def test_best_path_within_rejects_out_of_range_states(me):
+    for within in ({0}, {2, 9}):
+        with pytest.raises(ValueError):
+            most_probable_path(me, 1, 7, within=within)
+
+
 def test_best_path_dominates_random_paths(me):
     rng = random.Random(107)
     _, best = most_probable_path(me, 1, 7)

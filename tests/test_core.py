@@ -131,6 +131,12 @@ def test_prob_rejects_out_of_range(me):
         me.prob(1, 9)
 
 
+def test_from_transitions_rejects_out_of_range_pairs():
+    for pair in [(0, 1), (-1, 1), (1, 3), (3, 1), (1, 0)]:
+        with pytest.raises(ValueError, match=r"out of range 1\.\.2"):
+            Dtmc.from_transitions(2, 1, {pair: 1})
+
+
 def test_pipeline_outputs_stay_in_lowest_terms():
     rng = random.Random(11)
     for _ in range(25):
@@ -138,6 +144,7 @@ def test_pipeline_outputs_stay_in_lowest_terms():
         collapsed = path_abstract(d, random_subset(rng, d.states()))
         for row in collapsed.rows:
             for p in row:
+                assert isinstance(p, Fraction)
                 assert p.denominator > 0
                 assert math.gcd(abs(p.numerator), p.denominator) == 1
 

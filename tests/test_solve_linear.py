@@ -9,13 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (
-    entry_map,
-    gauss_jordan_solve,
-    random_dtmc,
-    random_subset,
-    random_substochastic,
-)
+from helpers import MODELS, entry_map, gauss_jordan_solve, random_subset
 from pathfold import abstraction
 from pathfold.abstraction import (
     LinearSystem,
@@ -23,7 +17,6 @@ from pathfold.abstraction import (
     path_abstract,
     solve_linear,
 )
-from pathfold.core import Dtmc
 
 ZERO = Fraction(0)
 
@@ -88,25 +81,6 @@ def test_solve_linear_long_tridiagonal_matches_oracle():
     b = [[p if i == m - 1 else ZERO, 1 - p if i == 0 else ZERO] for i in range(m)]
     system = LinearSystem(tuple(map(tuple, a)), tuple(map(tuple, b)))
     assert solve_linear(system) == gauss_jordan_solve(system)
-
-
-def _trapping_dtmc(rng: random.Random, n: int) -> Dtmc:
-    """Stochastic chain with a closed region that no route leaves."""
-    d = random_dtmc(rng, n)
-    trap = sorted(random_subset(rng, d.states(), allow_empty=False))
-    rows = [[d.prob(s, t) for t in d.states()] for s in d.states()]
-    for s in trap:
-        targets = rng.sample(trap, rng.randint(1, len(trap)))
-        share = Fraction(1, len(targets))
-        rows[s - 1] = [share if t in targets else ZERO for t in d.states()]
-    return Dtmc.from_rows(d.init, rows)
-
-
-MODELS = {
-    "stochastic": random_dtmc,
-    "substochastic": random_substochastic,
-    "trapping": _trapping_dtmc,
-}
 
 
 @pytest.mark.parametrize("kind", sorted(MODELS))
