@@ -208,17 +208,8 @@ def path_abstract(d: Dtmc, subset: Iterable[int]) -> Dtmc:
     fr = frontier(d, s1)
     zero = Fraction(0)
     zero_row = (zero,) * d.n
-    cut = [t - 1 for t in fr.interior_zero]
-    rows = []
-    for s, row in enumerate(d.rows, 1):
-        if s in s1:
-            row = zero_row
-        elif any(row[c] for c in cut):
-            row = list(row)
-            for c in cut:
-                row[c] = zero
-            row = tuple(row)
-        rows.append(row)
+    # No outside row feeds an interior state, so outside rows stay as they are.
+    rows = [zero_row if s in s1 else row for s, row in enumerate(d.rows, 1)]
     sources = fr.entries & fr.reaching
     if sources:
         q = dict(zip(sorted(fr.reaching), solve_linear(linear_system(d, fr))))

@@ -6,7 +6,7 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import pairwise
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .abstraction import path_abstract
 from .core import Dtmc, DtmcError, StateSet, non_absorbing, state_set
@@ -40,14 +40,19 @@ class ReachabilityResult:
 
 @dataclass(frozen=True)
 class RefinementStep:
-    """One collapse step: the subset used, how many transitions survived,
-    and the best single witness in the resulting chain."""
+    """One collapse step: the subset used, the chain it produced, and the
+    best single witness in that chain."""
 
     index: int
     subset: tuple[int, ...]
-    transition_count: int
+    chain: Dtmc
     witness_path: Word | None
     witness_prob: Fraction
+
+    @property
+    def transition_count(self) -> int:
+        """How many transitions survived the collapse."""
+        return self.chain.transition_count()
 
 
 @dataclass(frozen=True)
@@ -161,11 +166,7 @@ def refine(
     for i, fs in enumerate(sets):
         current = path_abstract(current, fs)
         path, prob = most_probable_path(current, d.init, target)
-        trace.append(
-            RefinementStep(
-                i, tuple(sorted(fs)), current.transition_count(), path or None, prob
-            )
-        )
+        trace.append(RefinementStep(i, tuple(sorted(fs)), current, path or None, prob))
         if prob > threshold:
             return RefinementReport(True, i, path, prob, tuple(trace))
     if trace:
@@ -178,30 +179,28 @@ def refine(
 
 
 def concretize_witness(
-    d: Dtmc, subsets: Iterable[Iterable[int]], abstract_path: Iterable[int]
+    d: Dtmc, steps: Sequence[RefinementStep], abstract_path: Iterable[int]
 ) -> Word:
-    """Expand a witness from a collapsed chain back into the original one.
+    """Expand a witness from the chain of the last of ``steps`` back into
+    ``d``, the chain :func:`refine` started from.
 
-    Walks the abstraction sequence backwards; at every level each
-    transition leaving the collapsed subset is replaced by the most
-    probable route through the subset, found by best-first search confined
-    to the subset plus the transition's endpoints.  The result is a
-    positive-probability path of the original chain that collapses back
-    onto the witness level by level.
+    Walks the steps backwards over the chains :func:`refine` recorded; at
+    every level each transition leaving the collapsed subset is replaced by
+    the most probable route through the subset, found by best-first search
+    confined to the subset plus the transition's endpoints.  The result is
+    a positive-probability path of ``d`` that collapses back onto the
+    witness level by level.
     """
     word = tuple(abstract_path)
-    sets = [state_set(s, d.n) for s in subsets]
-    chain = [d]
-    for fs in sets:
-        chain.append(path_abstract(chain[-1], fs))
+    chains = [d, *(step.chain for step in steps)]
     try:
-        positive = bool(word) and path_prob(chain[-1], word) > 0
+        positive = bool(word) and path_prob(chains[-1], word) > 0
     except ValueError:
         positive = False
     if not positive:
         raise NotAPathError(f"{word} is not a path of the abstracted chain")
-    for level in range(len(sets) - 1, -1, -1):
-        word = _expand_once(chain[level], sets[level], word)
+    for level in range(len(steps) - 1, -1, -1):
+        word = _expand_once(chains[level], frozenset(steps[level].subset), word)
     return word
 
 

@@ -16,6 +16,7 @@ on canonical input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -236,15 +237,16 @@ def _cmd_refine(args: argparse.Namespace, d: Dtmc) -> int:
     else:
         line = f"OK best={_fmt(report.witness_prob)}"
     if args.concretize and report.witness_path:
-        concrete = concretize_witness(
-            d, seq[: report.step_index + 1], report.witness_path
-        )
+        concrete = concretize_witness(d, report.trace, report.witness_path)
         line += f" concrete={_fmt_path(concrete)}"
     print(line)
     return 3 if report.violated else 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on the first :func:`main` call;
+    each ``parse_args`` fills a fresh namespace, so no flag outlives a call."""
     parser = argparse.ArgumentParser(
         prog="pathfold",
         description=(

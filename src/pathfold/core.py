@@ -95,12 +95,6 @@ class Dtmc:
             raise ValueError(f"state pair ({s},{t}) out of range 1..{self.n}")
         return self.rows[s - 1][t - 1]
 
-    def row_sum(self, s: int) -> Fraction:
-        return sum(self.rows[s - 1], Fraction(0))
-
-    def is_stochastic(self) -> bool:
-        return all(self.row_sum(s) == 1 for s in self.states())
-
     def transitions(self) -> Iterator[tuple[int, int, Fraction]]:
         """Positive entries in (src, dst) order."""
         for s, row in enumerate(self.rows, 1):
@@ -153,8 +147,3 @@ def validate(d: Dtmc) -> ValidationReport:
 def non_absorbing(d: Dtmc) -> StateSet:
     """States that keep less than their full mass on the diagonal."""
     return frozenset(s for s in d.states() if d.prob(s, s) < 1)
-
-
-def support_edges(d: Dtmc) -> list[tuple[int, int]]:
-    """All pairs with strictly positive probability, sorted by (src, dst)."""
-    return [(s, t) for s, t, _ in d.transitions()]

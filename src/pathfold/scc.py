@@ -1,10 +1,15 @@
 """Strongly connected components and the two subset-choosing strategies.
 
-The flat strategy collapses each nontrivial component of a region and then
-the region itself; the recursive strategy additionally descends into each
-component's interior first.  Both land on exactly the matrix obtained by
-collapsing the region directly; the point of going piecewise is that the
-intermediate chains are worth looking at, not the final one.
+Both strategies are subset sequences handed to the one collapse fold,
+:func:`path_abstract_seq`.  The flat one is each nontrivial component of a
+region, then the region.  The recursive one puts each component's own
+nested components, innermost first, before it.  It reads that whole order
+from the input chain: a collapse rewrites only its members' rows and adds
+transitions only onto states its members already fed, so every component's
+rows and interior are the same in the input as in the chain it is collapsed
+in.  Both land on exactly the matrix obtained by collapsing the region
+directly; the point of going piecewise is that the intermediate chains are
+worth looking at, not the final one.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ class NotStronglyConnectedError(DtmcError):
 
 
 class NonTerminatingInteriorError(DtmcError):
-    """The subset equals its own interior, so recursing into it would
+    """The subset equals its own interior, so descending into it would
     rediscover the same component forever; it has no entry to anchor on."""
 
 
@@ -131,14 +136,14 @@ def abstract_via_sccs(d: Dtmc, subset: Iterable[int]) -> Dtmc:
 
 
 def abstract_recursive(d: Dtmc, subset: Iterable[int]) -> Dtmc:
-    """Collapse ``subset`` after recursively collapsing the nontrivial
-    components of its interior, innermost first.
+    """Collapse ``subset`` after the nontrivial components of its interior,
+    each in turn after those of its own interior, innermost first.
 
     ``subset`` must be strongly connected and must have a proper interior:
-    a subset equal to its own interior has no entry state, and recursing
-    into it would pick the same component over and over.  Recursion depth
-    is bounded by the subset size since each level descends into strictly
-    smaller sets.
+    a subset equal to its own interior has no entry state to anchor on.  A
+    nested component always has one, since the strongly connected component
+    around it feeds it.  The order is gathered with an explicit stack, so
+    nesting depth costs no recursion.
     """
     s1 = state_set(subset, d.n)
     if not s1:
@@ -148,10 +153,16 @@ def abstract_recursive(d: Dtmc, subset: Iterable[int]) -> Dtmc:
         raise NotStronglyConnectedError(
             f"{sorted(s1)} splits into {len(comps)} components"
         )
-    interior = frontier(d, s1).interior_zero
-    if interior == s1:
-        raise NonTerminatingInteriorError(f"{sorted(s1)} has no entry state")
-    return abstract_nested(d, nontrivial_sccs(d, interior), s1)
+    outermost_first = []
+    todo = [s1]
+    while todo:
+        comp = todo.pop()
+        interior = frontier(d, comp).interior_zero
+        if interior == comp:
+            raise NonTerminatingInteriorError(f"{sorted(comp)} has no entry state")
+        outermost_first.append(comp)
+        todo += nontrivial_sccs(d, interior)
+    return path_abstract_seq(d, reversed(outermost_first))
 
 
 def abstract_nested(
@@ -160,9 +171,8 @@ def abstract_nested(
     """Collapse each of ``comps`` by :func:`abstract_recursive`, in order,
     then ``subset``.
 
-    A component that nothing enters any more cannot anchor the recursion
-    and is skipped; the final collapse of ``subset`` wipes it out
-    regardless.
+    A component that nothing enters cannot anchor a collapse and is
+    skipped; the final collapse of ``subset`` wipes it out regardless.
     """
     current = d
     for comp in comps:

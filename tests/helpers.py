@@ -3,10 +3,13 @@ random model generators, and brute-force oracles kept deliberately naive."""
 
 from __future__ import annotations
 
+import os
 import random
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
+import pathfold
 from pathfold.abstraction import FrontierSets, LinearSystem, SingularMatrixError
 from pathfold.core import Dtmc, state_set
 from pathfold.words import path_prob
@@ -91,6 +94,15 @@ FIG_MINUS_1234 = {
     (8, 8): "1",
 }
 
+# Child interpreters import the same pathfold as this process, installed or not.
+_PACKAGE_ROOT = str(Path(pathfold.__file__).parents[1])
+PACKAGE_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(
+        filter(None, [_PACKAGE_ROOT, os.getenv("PYTHONPATH")])
+    ),
+}
+
 
 def me_dtmc() -> Dtmc:
     return Dtmc.from_transitions(8, 1, ME_TRANSITIONS)
@@ -98,6 +110,10 @@ def me_dtmc() -> Dtmc:
 
 def entry_map(d: Dtmc) -> dict[tuple[int, int], Fraction]:
     return {(s, t): p for s, t, p in d.transitions()}
+
+
+def row_sum(d: Dtmc, s: int) -> Fraction:
+    return sum((p for (src, _), p in entry_map(d).items() if src == s), Fraction(0))
 
 
 def as_fractions(table: dict) -> dict[tuple[int, int], Fraction]:

@@ -4,7 +4,6 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.  Every
 tolerance is exact rational equality unless a bound is stated inline.
 """
 
-import os
 import random
 import subprocess
 import sys
@@ -17,6 +16,7 @@ from helpers import (
     FIG_MINUS_S1,
     FIG_MINUS_S1_S2,
     K,
+    PACKAGE_ENV,
     S0,
     S1,
     S2,
@@ -28,9 +28,9 @@ from helpers import (
     random_dtmc,
     random_fast_exit_instance,
     random_subset,
+    row_sum,
     submatrix_power_entry,
 )
-import pathfold
 from pathfold.abstraction import frontier, path_abstract, path_abstract_seq
 from pathfold.checker import model_check, refine
 from pathfold.cli import parse, serialize
@@ -45,14 +45,6 @@ from pathfold.words import (
 )
 
 EXAMPLE = Path(__file__).parent / "data" / "example8.dtmc"
-# Child interpreters import the same pathfold as this process, installed or not.
-_PACKAGE_ROOT = str(Path(pathfold.__file__).parents[1])
-PACKAGE_ENV = {
-    **os.environ,
-    "PYTHONPATH": os.pathsep.join(
-        filter(None, [_PACKAGE_ROOT, os.getenv("PYTHONPATH")])
-    ),
-}
 
 
 def _ok(number: int, text: str) -> None:
@@ -229,7 +221,7 @@ def test_criterion_8_robustness():
     # collapsing across a trapping component loses mass, never raises
     trapped = path_abstract(me, {5, 6, 7})
     validate(trapped)
-    assert trapped.row_sum(7) == 0
+    assert row_sum(trapped, 7) == 0
     rng = random.Random(8001)
     for _ in range(50):
         d = random_dtmc(rng, rng.randint(3, 7))
@@ -241,7 +233,7 @@ def test_criterion_8_robustness():
         subset = random_subset(rng, planted.states(), allow_empty=False) | {loop}
         collapsed = path_abstract(planted, subset)
         validate(collapsed)
-        assert all(collapsed.row_sum(s) <= 1 for s in collapsed.states())
+        assert all(row_sum(collapsed, s) <= 1 for s in collapsed.states())
 
     # the recursion guard fires exactly on subsets equal to their interior
     unentered = Dtmc.from_transitions(

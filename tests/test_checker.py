@@ -234,25 +234,31 @@ def test_refine_trace_records_shrinking_chains(me):
 # --- witness concretization ---------------------------------------------------
 
 
+def _steps(d, seq):
+    """The recorded steps of a refinement run through all of ``seq``."""
+    return refine(d, 7, Fraction(1), seq).trace
+
+
 def test_concretize_expands_through_collapsed_block(me):
-    assert concretize_witness(me, [REFINEMENT_SET], (1, 7)) == (1, 2, 3, 4, 7)
+    steps = _steps(me, [REFINEMENT_SET])
+    assert concretize_witness(me, steps, (1, 7)) == (1, 2, 3, 4, 7)
 
 
 def test_concretize_without_steps_returns_path(me):
-    assert concretize_witness(me, [], (1, 2, 3)) == (1, 2, 3)
+    assert concretize_witness(me, (), (1, 2, 3)) == (1, 2, 3)
 
 
 def test_concretize_prefers_direct_edge(me):
-    assert concretize_witness(me, [S1], (2, 3)) == (2, 3)
+    assert concretize_witness(me, _steps(me, [S1]), (2, 3)) == (2, 3)
 
 
 def test_concretize_rejects_non_path(me):
     with pytest.raises(NotAPathError):
-        concretize_witness(me, [REFINEMENT_SET], (1, 4, 7))
+        concretize_witness(me, _steps(me, [REFINEMENT_SET]), (1, 4, 7))
     with pytest.raises(NotAPathError):
-        concretize_witness(me, [], ())
+        concretize_witness(me, (), ())
     with pytest.raises(NotAPathError):
-        concretize_witness(me, [], (1, 99))
+        concretize_witness(me, (), (1, 99))
 
 
 def test_concretize_collapses_back_and_is_sound():
@@ -267,7 +273,7 @@ def test_concretize_collapses_back_and_is_sound():
         if report.witness_path is None:
             continue
         upto = len(seq) if report.step_index is None else report.step_index + 1
-        concrete = concretize_witness(d, seq[:upto], report.witness_path)
+        concrete = concretize_witness(d, report.trace, report.witness_path)
         assert path_prob(d, concrete) > 0
         assert minus_seq(concrete, seq[:upto]) == report.witness_path
         assert concrete[0] == d.init and concrete[-1] == target
@@ -276,6 +282,6 @@ def test_concretize_collapses_back_and_is_sound():
 
 def test_violated_witness_concretizes_into_original(me):
     report = refine(me, 7, Fraction(4, 9), [REFINEMENT_SET])
-    concrete = concretize_witness(me, [REFINEMENT_SET], report.witness_path)
+    concrete = concretize_witness(me, report.trace, report.witness_path)
     assert concrete == (1, 2, 3, 4, 7)
     assert path_prob(me, concrete) <= model_check(me, {7}).total

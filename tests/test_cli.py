@@ -8,8 +8,10 @@ from pathlib import Path
 import pytest
 
 from helpers import S1, random_dtmc, random_substochastic
+from pathfold import abstraction
 from pathfold.abstraction import path_abstract
 from pathfold.cli import (
+    _build_parser,
     DuplicateTransitionError,
     ModelSyntaxError,
     ProbabilityOutOfRangeError,
@@ -17,7 +19,7 @@ from pathfold.cli import (
     parse,
     serialize,
 )
-from pathfold.core import InitOutOfRangeError, RowSumExceedsOneError
+from pathfold.core import InitOutOfRangeError, RowSumExceedsOneError, validate
 
 DATA = Path(__file__).parent / "data"
 EXAMPLE = DATA / "example8.dtmc"
@@ -33,7 +35,7 @@ needs_digit_limit = pytest.mark.skipif(
 def test_parse_worked_example_file(me):
     d = parse(EXAMPLE.read_text())
     assert d == me
-    assert d.is_stochastic()
+    assert validate(d).is_stochastic
 
 
 def test_parse_accepts_bare_integers_and_comments():
@@ -46,7 +48,7 @@ def test_parse_accepts_bare_integers_and_comments():
 def test_parse_minimal_substochastic_model():
     d = parse("dtmc 1 1\n")
     assert d.n == 1
-    assert not d.is_stochastic()
+    assert not validate(d).is_stochastic
 
 
 def test_parse_normalizes_probabilities():
@@ -307,6 +309,52 @@ def test_refine_command_concretize(capsys):
     )
     assert code == 3
     assert out == "VIOLATED step=0 path=1,7 prob=13/27 concrete=1,2,3,4,7\n"
+
+
+def test_refine_concretize_collapses_once_per_step(capsys, monkeypatch):
+    original = abstraction.path_abstract
+    subsets = []
+
+    def counting(d, subset):
+        subsets.append(sorted(subset))
+        return original(d, subset)
+
+    # every name the collapse is bound under, as the bench tracer wraps it
+    package = [m for name, m in sys.modules.items() if name.split(".")[0] == "pathfold"]
+    for module in package:
+        if vars(module).get("path_abstract") is original:
+            monkeypatch.setattr(module, "path_abstract", counting)
+    code, out, _ = run(
+        capsys,
+        "refine",
+        str(EXAMPLE),
+        "--target",
+        "7",
+        "--threshold",
+        "1",
+        "--seq",
+        "2,5,6;3,4;1,2,3,4,5,6",
+        "--concretize",
+    )
+    assert code == 0
+    assert out == "OK best=5/9 concrete=1,2,3,4,7\n"
+    assert subsets == [[2, 5, 6], [3, 4], [1, 2, 3, 4, 5, 6]]
+
+
+def test_main_reuses_one_parser_without_leaking_flags(capsys):
+    parser = _build_parser()
+    code, out, _ = run(capsys, "check", str(EXAMPLE), "--goal", "7,8", "--json")
+    assert (code, out) == (0, '{"7": "5/9", "8": "4/9", "total": "1/1"}\n')
+    code, out, _ = run(capsys, "check", str(EXAMPLE), "--goal", "7,8")
+    assert (code, out) == (0, "7 5/9\n8 4/9\ntotal 1/1\n")
+    argv = ["refine", str(EXAMPLE), "--target", "7", "--threshold", "4/9"]
+    argv += ["--seq", "1,2,3,4"]
+    violated = "VIOLATED step=0 path=1,7 prob=13/27"
+    code, out, _ = run(capsys, *argv, "--concretize")
+    assert (code, out) == (3, f"{violated} concrete=1,2,3,4,7\n")
+    code, out, _ = run(capsys, *argv)
+    assert (code, out) == (3, f"{violated}\n")
+    assert _build_parser() is parser
 
 
 def test_refine_command_threshold_one_is_ok(capsys):

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import K, S0, S1, S2, random_dtmc, random_subset
+from helpers import K, S0, S1, S2, entry_map, random_dtmc, random_subset
 import pathfold
 from pathfold.abstraction import path_abstract, prune_isolated
 from pathfold.core import (
@@ -18,7 +18,6 @@ from pathfold.core import (
     ValidationError,
     non_absorbing,
     state_set,
-    support_edges,
     validate,
 )
 
@@ -100,7 +99,7 @@ def test_non_absorbing_scans_the_diagonal():
 
 
 def test_support_edges_worked_example(me):
-    edges = support_edges(me)
+    edges = list(entry_map(me))
     assert len(edges) == 14
     assert edges == sorted(edges)
     for pair in ((1, 2), (6, 2), (7, 7)):
@@ -109,12 +108,12 @@ def test_support_edges_worked_example(me):
 
 def test_support_edges_zero_matrix():
     d = Dtmc.from_rows(1, [[0, 0], [0, 0]])
-    assert support_edges(d) == []
+    assert list(entry_map(d)) == []
 
 
 def test_support_edges_identity_loops():
     d = Dtmc.from_rows(1, [[1, 0], [0, 1]])
-    assert support_edges(d) == [(1, 1), (2, 2)]
+    assert list(entry_map(d)) == [(1, 1), (2, 2)]
 
 
 def test_state_set_rejects_out_of_range():

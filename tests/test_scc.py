@@ -1,15 +1,20 @@
 """Component decomposition and the two staged collapse strategies."""
 
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     FIG_MINUS_K,
     FIG_MINUS_S1,
     K,
+    PACKAGE_ENV,
     S1,
     as_fractions,
     entry_map,
@@ -17,6 +22,8 @@ from helpers import (
     random_subset,
 )
 from pathfold.abstraction import path_abstract, path_abstract_seq
+from pathfold.checker import model_check
+from pathfold.cli import serialize
 from pathfold.core import Dtmc, non_absorbing
 from pathfold.scc import (
     NonTerminatingInteriorError,
@@ -182,3 +189,72 @@ def test_recursive_collapse_accepts_entered_cycle():
     assert got == path_abstract(d, {2, 3})
     assert got.prob(1, 4) == Fraction(1, 2)
     assert got.prob(2, 4) == 1
+
+
+# --- nested cycles ----------------------------------------------------------
+
+
+def nested_cycle(n: int) -> Dtmc:
+    """States 1 -> 2 -> ... -> n+1; state n+1 returns to each of 2..n and
+    leaves for the absorbing n+2 and n+3, each with probability 1/(n+2).
+
+    Every component of 2..n+1 nests the next one, n levels deep, and each
+    goal is reached with probability 1/3.
+    """
+    share = Fraction(1, n + 2)
+    transitions = {(s, s + 1): 1 for s in range(1, n + 1)}
+    transitions.update({(n + 1, t): share for t in [*range(2, n + 1), n + 2, n + 3]})
+    transitions.update({(n + 2, n + 2): 1, (n + 3, n + 3): 1})
+    return Dtmc.from_transitions(n + 3, 1, transitions)
+
+
+_LOW_RECURSION_LIMIT_MAIN = """
+import sys
+sys.setrecursionlimit(250)
+from pathfold.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_recursive_nesting_depth_needs_no_interpreter_stack(tmp_path):
+    # 120 nesting levels under a recursion limit of 250: a strategy that
+    # recursed once or twice per level would raise RecursionError.
+    model = tmp_path / "nested.dtmc"
+    model.write_text(serialize(nested_cycle(120)))
+    argv = ["check", str(model), "--goal", "122,123", "--method", "recursive"]
+    child = subprocess.run(
+        [sys.executable, "-c", _LOW_RECURSION_LIMIT_MAIN, *argv],
+        capture_output=True,
+        env=PACKAGE_ENV,
+        text=True,
+    )
+    assert (child.returncode, child.stderr) == (0, "")
+    assert child.stdout == "122 1/3\n123 1/3\ntotal 2/3\n"
+
+
+@st.composite
+def nested_cycle_families(draw):
+    """:func:`nested_cycle` with random weights, random extra back edges
+    from the inner states and an optional leak in every row."""
+    n = draw(st.integers(1, 9))
+    weight = st.integers(1, 4)
+    rows = {}
+    for s in range(2, n + 1):
+        back = draw(st.lists(st.integers(2, s), unique=True, max_size=2))
+        rows[s] = {t: draw(weight) for t in [*back, s + 1]}
+    rows[n + 1] = {t: draw(weight) for t in [*range(2, n + 1), n + 2, n + 3]}
+    leak = draw(st.integers(0, 2))
+    transitions = {(1, 2): 1, (n + 2, n + 2): 1, (n + 3, n + 3): 1}
+    for s, weights in rows.items():
+        total = sum(weights.values()) + leak
+        transitions.update({(s, t): Fraction(w, total) for t, w in weights.items()})
+    return Dtmc.from_transitions(n + 3, 1, transitions)
+
+
+@settings(max_examples=150)
+@given(nested_cycle_families())
+def test_recursive_equals_direct_on_nested_cycle_families(d):
+    goals = [d.n - 1, d.n]
+    assert model_check(d, goals, "recursive") == model_check(d, goals, "direct")
+    outer = frozenset(range(2, d.n - 1))
+    assert abstract_recursive(d, outer) == path_abstract(d, outer)
