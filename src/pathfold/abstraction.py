@@ -12,15 +12,20 @@ initial state are preserved exactly; the state space itself never changes
 The solve eliminates over Python ints on sparse rows: each row is scaled
 to integers once, combined with pivot rows by cross-multiplication and
 kept divided by the gcd of its entries, so no rational is normalised
-until the answer is read off and zero entries cost nothing.
+until the answer is read off and zero entries cost nothing.  Eliminating
+one unknown is itself a collapse of one state, and the collapse is exact
+along any sequence of subsets, so the elimination order is picked for
+cost alone: sparsest column first, and the rows the collapse reads last,
+so that back substitution touches only those.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .core import Dtmc, DtmcError, StateSet, state_set
 
@@ -64,10 +69,8 @@ class LinearSystem:
 def frontier(d: Dtmc, subset: Iterable[int]) -> FrontierSets:
     """Compute all four frontier sets for collapsing ``subset``."""
     s1 = state_set(subset, d.n)
+    interior = interior_zero(d, s1)
     outside = [s for s in d.states() if s not in s1]
-    interior = frozenset(
-        s for s in s1 if s != d.init and not any(d.rows[r - 1][s - 1] for r in outside)
-    )
     inside = [d.rows[s - 1] for s in s1]
     exits = frozenset(
         t for row in inside for t in outside if row[t - 1] and row[t - 1] > 0
@@ -76,28 +79,36 @@ def frontier(d: Dtmc, subset: Iterable[int]) -> FrontierSets:
     return FrontierSets(interior, s1 - interior, exits, reaching)
 
 
+def interior_zero(d: Dtmc, subset: Iterable[int]) -> StateSet:
+    """Members of ``subset``, other than the initial state, that no state
+    outside ``subset`` feeds: the ones a collapse of it clears."""
+    s1 = state_set(subset, d.n)
+    outside = [d.rows[r - 1] for r in d.states() if r not in s1]
+    return frozenset(
+        s for s in s1 if s != d.init and not any(row[s - 1] for row in outside)
+    )
+
+
 def reach_backward(d: Dtmc, subset: Iterable[int], exits: Iterable[int]) -> StateSet:
     """Members of ``subset`` with a positive-probability route to ``exits``
     that stays inside ``subset`` until the final step.
 
-    Worklist iteration: seed with the exits, repeatedly add the subset
-    states with a one-step transition into the newest layer, and return
-    everything gathered except the exits themselves.
+    A search backwards from the exits: each state it takes from the
+    worklist has its column read once, over the members not reached yet,
+    and the predecessors found there join the worklist.  So no entry is
+    read twice, and the search stops reading once nothing new is reached.
     """
     s1 = state_set(subset, d.n)
     exit_set = state_set(exits, d.n)
-    seen = set(exit_set)
-    layer = set(exit_set)
-    while layer:
-        cols = [x - 1 for x in layer]
-        nxt = set()
-        for r in s1 - seen:
-            row = d.rows[r - 1]
-            if any(row[c] and row[c] > 0 for c in cols):
-                nxt.add(r)
-        seen |= nxt
-        layer = nxt
-    return frozenset(seen - exit_set)
+    rows = d.rows
+    unreached = set(s1 - exit_set)
+    todo = list(exit_set)
+    while todo and unreached:
+        c = todo.pop() - 1
+        found = [r for r in unreached if rows[r - 1][c] and rows[r - 1][c] > 0]
+        unreached.difference_update(found)
+        todo += found
+    return s1 - exit_set - unreached
 
 
 def linear_system(d: Dtmc, fr: FrontierSets) -> LinearSystem:
@@ -116,38 +127,77 @@ def linear_system(d: Dtmc, fr: FrontierSets) -> LinearSystem:
     return LinearSystem(tuple(a), b)
 
 
-def solve_linear(system: LinearSystem) -> tuple[tuple[Fraction, ...], ...]:
+def solve_linear(
+    system: LinearSystem, rows: Sequence[int] | None = None
+) -> tuple[tuple[Fraction, ...], ...]:
     """Exact solve of ``a @ q = b`` by fraction-free elimination on sparse rows.
+
+    Returns row ``i`` of ``q`` for each ``i`` in ``rows``, in that order, or
+    every row in order when ``rows`` is omitted.
 
     Each row of ``[a | b]`` is scaled to integers by the lcm of its
     denominators and kept as a ``{column: int}`` map of its nonzero entries.
-    Column by column, the first remaining row with a nonzero entry there
-    becomes the pivot row; every other remaining row with a nonzero entry
-    in that column is replaced by the integer combination that cancels it
-    and then divided by the gcd of its entries, so it stays the smallest
-    integer multiple of the exact eliminated row.  Rows already zero in the
-    column are never touched, which keeps banded systems linear.  Back
-    substitution runs over integer numerators with one denominator per
-    row; ``Fraction``s are built only for the returned entries.
+    The pivot order is approximate Markowitz: the next pivot column is the
+    live column with the fewest live rows, read off a lazy heap of column
+    counts, and its shortest live row becomes the pivot row.  Columns of
+    unknowns outside ``rows`` all go first.  Every other live row with a
+    nonzero entry in the pivot column is replaced by the integer
+    combination that cancels it and then divided by the gcd of its
+    entries, so it stays the smallest integer multiple of the exact
+    eliminated row; rows already zero there are never touched.  A column
+    no live row reaches means the matrix is singular, whatever ``rows``
+    asks for.  Back substitution then runs over the pivots of the wanted
+    unknowns only: they come last, so they refer to nothing else.  It works
+    on integer numerators with one denominator per row; ``Fraction``s are
+    built only for the returned entries.
     """
     m = len(system.a)
-    remaining = []
-    for arow, brow in zip(system.a, system.b):
+    wanted = range(m) if rows is None else tuple(rows)
+    tail = set(wanted)
+    if any(not 0 <= r < m for r in tail):
+        raise ValueError(f"rows must lie in 0..{m - 1}")
+    live: dict[int, dict[int, int]] = {}
+    holders: list[set[int]] = [set() for _ in range(m)]
+    for r, (arow, brow) in enumerate(zip(system.a, system.b)):
         entries = [(c, x) for c, x in enumerate((*arow, *brow)) if x]
         scale = lcm(*(x.denominator for _, x in entries))
-        remaining.append({c: x.numerator * scale // x.denominator for c, x in entries})
-    pivots = []
-    for col in range(m):
-        piv = next((row for row in remaining if col in row), None)
-        if piv is None:
+        live[r] = {c: x.numerator * scale // x.denominator for c, x in entries}
+        for c, _ in entries:
+            if c < m:
+                holders[c].add(r)
+    heap = [(c in tail, len(holders[c]), c) for c in range(m)]
+    heapq.heapify(heap)
+    done = [False] * m
+    pivots: list[tuple[int, dict[int, int]]] = []
+    while heap:
+        _, count, col = heapq.heappop(heap)
+        if done[col] or count != len(holders[col]):
+            continue
+        if not count:
             raise SingularMatrixError(f"no pivot in column {col}")
-        pivots.append(piv)
-        remaining = [
-            row if col not in row else _cancel(row, piv, col)
-            for row in remaining
-            if row is not piv
-        ]
-    return _back_substitute(pivots, m, len(system.b[0]) if m else 0)
+        done[col] = True
+        p = min(holders[col], key=lambda r: (len(live[r]), r))
+        piv = live.pop(p)
+        pivots.append((col, piv))
+        touched = {c for c in piv if c < m}
+        for c in touched:
+            holders[c].discard(p)
+        for r in list(holders[col]):
+            row = live[r]
+            live[r] = new = _cancel(row, piv, col)
+            for c in row.keys() - new.keys():
+                if c < m:
+                    holders[c].discard(r)
+                    touched.add(c)
+            for c in new.keys() - row.keys():
+                if c < m:
+                    holders[c].add(r)
+                    touched.add(c)
+        for c in touched:
+            if not done[c]:
+                heapq.heappush(heap, (c in tail, len(holders[c]), c))
+    solved = _back_substitute(pivots[m - len(tail):], m, len(system.b[0]) if m else 0)
+    return tuple(solved[i] for i in wanted)
 
 
 def _cancel(row: dict[int, int], piv: dict[int, int], col: int) -> dict[int, int]:
@@ -168,30 +218,30 @@ def _cancel(row: dict[int, int], piv: dict[int, int], col: int) -> dict[int, int
 
 
 def _back_substitute(
-    pivots: list[dict[int, int]], m: int, k: int
-) -> tuple[tuple[Fraction, ...], ...]:
-    """Solve the upper-triangular integer rows from the last one up.
+    pivots: list[tuple[int, dict[int, int]]], m: int, k: int
+) -> dict[int, tuple[Fraction, ...]]:
+    """Solve ``(column, row)`` pivots from the last one up.
 
-    Row ``r``'s solution is held as numerators over one common
+    Each pivot row refers only to its own column and to columns pivoted
+    after it.  A column's solution is held as numerators over one common
     denominator, of either sign; the right-hand side starts at column ``m``.
     """
-    dens = [0] * m
-    nums: list[list[int]] = [[]] * m
-    for r in range(m - 1, -1, -1):
-        row = pivots[r]
-        later = [(c, x) for c, x in row.items() if r < c < m]
+    dens: dict[int, int] = {}
+    nums: dict[int, list[int]] = {}
+    for col, row in reversed(pivots):
+        later = [(c, x) for c, x in row.items() if c < m and c != col]
         common = lcm(*(dens[c] for c, _ in later))
         acc = [row.get(m + j, 0) * common for j in range(k)]
         for c, x in later:
             w = x * (common // dens[c])
             acc = [a - w * y for a, y in zip(acc, nums[c])]
-        den = row[r] * common
+        den = row[col] * common
         g = gcd(den, *acc)
-        dens[r] = den // g
-        nums[r] = [a // g for a in acc]
-    return tuple(
-        tuple(Fraction(a, den) for a in num) for num, den in zip(nums, dens)
-    )
+        dens[col] = den // g
+        nums[col] = [a // g for a in acc]
+    return {
+        col: tuple(Fraction(a, den) for a in nums[col]) for col, den in dens.items()
+    }
 
 
 def path_abstract(d: Dtmc, subset: Iterable[int]) -> Dtmc:
@@ -210,13 +260,14 @@ def path_abstract(d: Dtmc, subset: Iterable[int]) -> Dtmc:
     zero_row = (zero,) * d.n
     # No outside row feeds an interior state, so outside rows stay as they are.
     rows = [zero_row if s in s1 else row for s, row in enumerate(d.rows, 1)]
-    sources = fr.entries & fr.reaching
+    sources = list(fr.entries & fr.reaching)
     if sources:
-        q = dict(zip(sorted(fr.reaching), solve_linear(linear_system(d, fr))))
+        index = {s: i for i, s in enumerate(sorted(fr.reaching))}
+        q = solve_linear(linear_system(d, fr), [index[s] for s in sources])
         exits = [t - 1 for t in sorted(fr.exits)]
-        for s in sources:
+        for s, probs in zip(sources, q):
             row = [zero] * d.n
-            for c, p in zip(exits, q[s]):
+            for c, p in zip(exits, probs):
                 row[c] = p
             rows[s - 1] = tuple(row)
     return Dtmc(d.init, tuple(rows))

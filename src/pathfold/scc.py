@@ -17,7 +17,7 @@ from __future__ import annotations
 import heapq
 from typing import Iterable
 
-from .abstraction import frontier, path_abstract, path_abstract_seq
+from .abstraction import interior_zero, path_abstract, path_abstract_seq
 from .core import Dtmc, DtmcError, StateSet, state_set
 
 
@@ -157,7 +157,7 @@ def abstract_recursive(d: Dtmc, subset: Iterable[int]) -> Dtmc:
     todo = [s1]
     while todo:
         comp = todo.pop()
-        interior = frontier(d, comp).interior_zero
+        interior = interior_zero(d, comp)
         if interior == comp:
             raise NonTerminatingInteriorError(f"{sorted(comp)} has no entry state")
         outermost_first.append(comp)

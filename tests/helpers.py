@@ -290,10 +290,14 @@ def submatrix_power_entry(d: Dtmc, subset, power: int, s: int, r: int) -> Fracti
     return acc[idx[s]][idx[r]]
 
 
-def gauss_jordan_solve(system: LinearSystem) -> tuple[tuple[Fraction, ...], ...]:
+def gauss_jordan_solve(
+    system: LinearSystem, rows=None
+) -> tuple[tuple[Fraction, ...], ...]:
     """Dense Gauss-Jordan elimination over ``Fraction`` with multiple
     right-hand sides, pivoting on the first nonzero entry in each column:
-    the reference the sparse integer solver is checked against."""
+    the reference the sparse integer solver is checked against.  Like the
+    solver, it returns only the solution rows listed in ``rows`` if given,
+    but it always solves for all of them."""
     a = [list(row) for row in system.a]
     b = [list(row) for row in system.b]
     m = len(a)
@@ -310,7 +314,8 @@ def gauss_jordan_solve(system: LinearSystem) -> tuple[tuple[Fraction, ...], ...]
                 f = a[r][col] / pivot
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
                 b[r] = [x - f * y for x, y in zip(b[r], b[col])]
-    return tuple(tuple(x / a[r][r] for x in b[r]) for r in range(m))
+    solved = tuple(tuple(x / a[r][r] for x in b[r]) for r in range(m))
+    return solved if rows is None else tuple(solved[r] for r in rows)
 
 
 # Entry-by-entry references for the layers that scan ``Dtmc.rows``

@@ -15,9 +15,16 @@ from helpers import (
     linear_system_by_prob,
     prune_isolated_by_prob,
     random_subset,
+    reach_backward_by_prob,
     transition_count_by_prob,
 )
-from pathfold.abstraction import frontier, linear_system, path_abstract, prune_isolated
+from pathfold.abstraction import (
+    frontier,
+    linear_system,
+    path_abstract,
+    prune_isolated,
+    reach_backward,
+)
 
 
 def _all_fractions(rows) -> bool:
@@ -37,6 +44,11 @@ def test_row_scans_equal_entry_by_entry_references(kind, seed, n):
         assert _all_fractions(chain.rows)
         fr = frontier(chain, subset)
         assert fr == frontier_by_prob(chain, subset)
+        # exits that overlap the subset, which no frontier hands over
+        exits = random_subset(rng, d.states())
+        assert reach_backward(chain, subset, exits) == reach_backward_by_prob(
+            chain, subset, exits
+        )
         system = linear_system(chain, fr)
         assert system == linear_system_by_prob(chain, fr)
         assert _all_fractions(system.a) and _all_fractions(system.b)

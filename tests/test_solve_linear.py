@@ -1,5 +1,6 @@
 """Differential check of the sparse integer solver against the dense
-Gauss-Jordan oracle, on raw linear systems and through the collapse."""
+Gauss-Jordan oracle, on raw linear systems, for chosen solution rows and
+through the collapse, plus a bound on the solver's fill-in."""
 
 import random
 from fractions import Fraction
@@ -81,6 +82,51 @@ def test_solve_linear_long_tridiagonal_matches_oracle():
     b = [[p if i == m - 1 else ZERO, 1 - p if i == 0 else ZERO] for i in range(m)]
     system = LinearSystem(tuple(map(tuple, a)), tuple(map(tuple, b)))
     assert solve_linear(system) == gauss_jordan_solve(system)
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_solve_linear_rows_equal_gauss_jordan_rows(data):
+    system = data.draw(systems())
+    m = len(system.a)
+    rows = data.draw(st.lists(st.integers(0, m - 1), unique=True, max_size=m))
+    assert _outcome(lambda s: solve_linear(s, rows), system) == _outcome(
+        lambda s: gauss_jordan_solve(s, rows), system
+    )
+
+
+def test_solve_linear_rows_must_be_unknowns():
+    system = LinearSystem(((Fraction(1),),), ((Fraction(1, 2),),))
+    assert solve_linear(system, [0]) == ((Fraction(1, 2),),)
+    for rows in ([1], [-1]):
+        with pytest.raises(ValueError):
+            solve_linear(system, rows)
+
+
+def _arrow(m):
+    """``I - P`` for a star: state 0 moves to each other state with
+    probability 1/(2(m-1)) and each other state back to 0 with probability
+    1/2, so ``a`` is a dense first row and column plus the diagonal."""
+    out, back = Fraction(-1, 2 * (m - 1)), Fraction(-1, 2)
+    a = [[ZERO] * m for _ in range(m)]
+    for j in range(m):
+        a[j][j] = Fraction(1)
+        if j:
+            a[0][j], a[j][0] = out, back
+    b = [[Fraction(1, 2), Fraction(j, 2 * m)] for j in range(m)]
+    return LinearSystem(tuple(map(tuple, a)), tuple(map(tuple, b)))
+
+
+@pytest.mark.parametrize("rows", [None, [0], [5, 0, 39]])
+def test_arrow_system_fills_nothing_in(rows):
+    # Pivoting on the dense first column first turns every row dense and
+    # costs 780 row combinations; the sparse columns first cost one each.
+    m = 40
+    system = _arrow(m)
+    with mock.patch.object(abstraction, "_cancel", wraps=abstraction._cancel) as cancel:
+        got = solve_linear(system) if rows is None else solve_linear(system, rows)
+    assert cancel.call_count <= m
+    assert got == gauss_jordan_solve(system, rows)
 
 
 @pytest.mark.parametrize("kind", sorted(MODELS))
