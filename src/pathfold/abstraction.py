@@ -70,11 +70,8 @@ def frontier(d: Dtmc, subset: Iterable[int]) -> FrontierSets:
     """Compute all four frontier sets for collapsing ``subset``."""
     s1 = state_set(subset, d.n)
     interior = interior_zero(d, s1)
-    outside = [s for s in d.states() if s not in s1]
-    inside = [d.rows[s - 1] for s in s1]
-    exits = frozenset(
-        t for row in inside for t in outside if row[t - 1] and row[t - 1] > 0
-    )
+    succ = d.succ
+    exits = frozenset(t for s in s1 for t in succ[s - 1] if t not in s1)
     reaching = reach_backward(d, s1, exits)
     return FrontierSets(interior, s1 - interior, exits, reaching)
 
@@ -83,9 +80,9 @@ def interior_zero(d: Dtmc, subset: Iterable[int]) -> StateSet:
     """Members of ``subset``, other than the initial state, that no state
     outside ``subset`` feeds: the ones a collapse of it clears."""
     s1 = state_set(subset, d.n)
-    outside = [d.rows[r - 1] for r in d.states() if r not in s1]
+    pred = d.pred
     return frozenset(
-        s for s in s1 if s != d.init and not any(row[s - 1] for row in outside)
+        s for s in s1 if s != d.init and all(r in s1 for r in pred[s - 1])
     )
 
 
@@ -93,19 +90,18 @@ def reach_backward(d: Dtmc, subset: Iterable[int], exits: Iterable[int]) -> Stat
     """Members of ``subset`` with a positive-probability route to ``exits``
     that stays inside ``subset`` until the final step.
 
-    A search backwards from the exits: each state it takes from the
-    worklist has its column read once, over the members not reached yet,
-    and the predecessors found there join the worklist.  So no entry is
-    read twice, and the search stops reading once nothing new is reached.
+    A search backwards from the exits over ``d.pred``: each state it takes
+    from the worklist has its predecessor list read once, and the members
+    not reached yet found there join the worklist.  So no edge is followed
+    twice, and the search stops once nothing new is reached.
     """
     s1 = state_set(subset, d.n)
     exit_set = state_set(exits, d.n)
-    rows = d.rows
+    pred = d.pred
     unreached = set(s1 - exit_set)
     todo = list(exit_set)
     while todo and unreached:
-        c = todo.pop() - 1
-        found = [r for r in unreached if rows[r - 1][c] and rows[r - 1][c] > 0]
+        found = [r for r in pred[todo.pop() - 1] if r in unreached]
         unreached.difference_update(found)
         todo += found
     return s1 - exit_set - unreached
@@ -113,18 +109,27 @@ def reach_backward(d: Dtmc, subset: Iterable[int], exits: Iterable[int]) -> Stat
 
 def linear_system(d: Dtmc, fr: FrontierSets) -> LinearSystem:
     """Assemble the exact exit system for one collapse step; rows follow
-    ``sorted(fr.reaching)``, ``b``'s columns ``sorted(fr.exits)``."""
-    cols = [r - 1 for r in sorted(fr.reaching)]
-    exits = [t - 1 for t in sorted(fr.exits)]
+    ``sorted(fr.reaching)``, ``b``'s columns ``sorted(fr.exits)``.  Each
+    row reads only the positive entries ``d.succ`` lists, plus its
+    diagonal."""
+    unknowns = sorted(fr.reaching)
+    col = {r: i for i, r in enumerate(unknowns)}
+    exit_col = {t: j for j, t in enumerate(sorted(fr.exits))}
     zero = Fraction(0)
-    a = []
-    for i, r in enumerate(cols):
-        row = d.rows[r]
-        arow = [-row[c] if row[c] else zero for c in cols]
-        arow[i] = 1 - row[r]
+    a, b = [], []
+    for i, r in enumerate(unknowns):
+        row = d.rows[r - 1]
+        arow = [zero] * len(col)
+        brow = [zero] * len(exit_col)
+        for t in d.succ[r - 1]:
+            if t in col:
+                arow[col[t]] = -row[t - 1]
+            if t in exit_col:
+                brow[exit_col[t]] = row[t - 1]
+        arow[i] = 1 - row[r - 1]
         a.append(tuple(arow))
-    b = tuple(tuple(d.rows[r][t] for t in exits) for r in cols)
-    return LinearSystem(tuple(a), b)
+        b.append(tuple(brow))
+    return LinearSystem(tuple(a), tuple(b))
 
 
 def solve_linear(
@@ -253,6 +258,10 @@ def path_abstract(d: Dtmc, subset: Iterable[int]) -> Dtmc:
     with no way out (one containing a bottom strongly connected component,
     say) silently drops the trapped mass and leaves the result
     substochastic; that is intended, not an error.
+
+    The new chain's positive digraph is derived from ``d``'s: only the
+    members' successor lists and the predecessor lists of the states they
+    fed before or feed now are rewritten.
     """
     s1 = state_set(subset, d.n)
     fr = frontier(d, s1)
@@ -260,17 +269,33 @@ def path_abstract(d: Dtmc, subset: Iterable[int]) -> Dtmc:
     zero_row = (zero,) * d.n
     # No outside row feeds an interior state, so outside rows stay as they are.
     rows = [zero_row if s in s1 else row for s, row in enumerate(d.rows, 1)]
-    sources = list(fr.entries & fr.reaching)
+    succ = list(d.succ)
+    touched: set[int] = set()
+    for s in s1:
+        touched.update(succ[s - 1])
+        succ[s - 1] = ()
+    fed: dict[int, list[int]] = {}
+    sources = sorted(fr.entries & fr.reaching)
     if sources:
         index = {s: i for i, s in enumerate(sorted(fr.reaching))}
         q = solve_linear(linear_system(d, fr), [index[s] for s in sources])
-        exits = [t - 1 for t in sorted(fr.exits)]
+        exits = sorted(fr.exits)
         for s, probs in zip(sources, q):
             row = [zero] * d.n
-            for c, p in zip(exits, probs):
-                row[c] = p
+            targets = []
+            for t, p in zip(exits, probs):
+                row[t - 1] = p
+                if p.numerator > 0:
+                    targets.append(t)
+                    fed.setdefault(t, []).append(s)
             rows[s - 1] = tuple(row)
-    return Dtmc(d.init, tuple(rows))
+            succ[s - 1] = tuple(targets)
+    pred = list(d.pred)
+    for t in touched.union(fed):
+        # both runs are ascending, so the sort only merges them
+        kept = [r for r in pred[t - 1] if r not in s1]
+        pred[t - 1] = tuple(sorted(kept + fed[t])) if t in fed else tuple(kept)
+    return Dtmc._with_graph(d.init, tuple(rows), tuple(succ), tuple(pred))
 
 
 def path_abstract_seq(d: Dtmc, subsets: Iterable[Iterable[int]]) -> Dtmc:

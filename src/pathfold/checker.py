@@ -109,7 +109,8 @@ def most_probable_path(
         raise ValueError(f"state pair ({src},{dst}) out of range 1..{d.n}")
     if src == dst:
         return (src,), Fraction(1)
-    scan = d.states() if within is None else sorted({*state_set(within, d.n), dst})
+    allowed = None if within is None else {*state_set(within, d.n), dst}
+    succ = d.succ
     heap: list[tuple[Fraction, Word]] = [(Fraction(-1), (src,))]
     settled: set[int] = set()
     while heap:
@@ -121,10 +122,9 @@ def most_probable_path(
         if v == dst:
             return path, -neg
         row = d.rows[v - 1]
-        for t in scan:
-            p = row[t - 1]
-            if p and p > 0 and t not in settled:
-                heapq.heappush(heap, (neg * p, path + (t,)))
+        for t in succ[v - 1]:
+            if t not in settled and (allowed is None or t in allowed):
+                heapq.heappush(heap, (neg * row[t - 1], path + (t,)))
     return (), Fraction(0)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
 StateSet = frozenset[int]
@@ -62,6 +63,17 @@ class Dtmc:
     immutable and may be shared between chains, so a collapse reuses the
     rows it leaves alone.  :meth:`from_rows` and :meth:`from_transitions`
     accept any numbers and normalise them to that form.
+
+    Beside the rows every chain carries its positive digraph: ``succ[s - 1]``
+    lists the targets of state ``s`` with positive probability and
+    ``pred[t - 1]`` the sources of state ``t``, both ascending.  A directly
+    built chain derives ``succ`` from ``rows`` on first use, in one pass
+    over all n² entries; :meth:`from_transitions` builds it from its
+    mapping instead.  ``pred`` is derived from ``succ`` without reading
+    ``rows``.  A collapse hands both on, rewriting only the lists its
+    rewritten rows touch.  The graph layers walk these lists and read
+    ``rows`` only at positive entries.  Equality, hashing and ``repr`` look
+    at ``init`` and ``rows`` alone.
     """
 
     init: int
@@ -77,11 +89,51 @@ class Dtmc:
     ) -> "Dtmc":
         zero = Fraction(0)
         rows = [[zero] * n for _ in range(n)]
+        succ: list[list[int]] = [[] for _ in range(n)]
         for (s, t), p in transitions.items():
             if not (1 <= s <= n and 1 <= t <= n):
                 raise ValueError(f"state pair ({s},{t}) out of range 1..{n}")
-            rows[s - 1][t - 1] = Fraction(p)  # type: ignore[arg-type]
-        return cls(init, tuple(map(tuple, rows)))
+            rows[s - 1][t - 1] = p = Fraction(p)  # type: ignore[arg-type]
+            if p.numerator > 0:
+                succ[s - 1].append(t)
+        for targets in succ:
+            targets.sort()
+        return cls._with_graph(init, tuple(map(tuple, rows)), tuple(map(tuple, succ)))
+
+    @classmethod
+    def _with_graph(
+        cls,
+        init: int,
+        rows: tuple[tuple[Fraction, ...], ...],
+        succ: tuple[tuple[int, ...], ...],
+        pred: tuple[tuple[int, ...], ...] | None = None,
+    ) -> "Dtmc":
+        """A chain whose successor lists, and maybe predecessor lists, the
+        caller already holds; missing ``pred`` is derived from ``succ``."""
+        d = cls(init, rows)
+        d.__dict__["succ"] = succ
+        if pred is not None:
+            d.__dict__["pred"] = pred
+        return d
+
+    @cached_property
+    def succ(self) -> tuple[tuple[int, ...], ...]:
+        """Per state, its targets with positive probability, ascending."""
+        # A Fraction has the sign of its numerator, and reading that is far
+        # cheaper than a Fraction comparison.
+        return tuple(
+            tuple([t for t, p in enumerate(row, 1) if p.numerator > 0])
+            for row in self.rows
+        )
+
+    @cached_property
+    def pred(self) -> tuple[tuple[int, ...], ...]:
+        """Per state, its sources with positive probability, ascending."""
+        pred: list[list[int]] = [[] for _ in self.rows]
+        for s, targets in enumerate(self.succ, 1):
+            for t in targets:
+                pred[t - 1].append(s)
+        return tuple(map(tuple, pred))
 
     @property
     def n(self) -> int:
@@ -97,13 +149,12 @@ class Dtmc:
 
     def transitions(self) -> Iterator[tuple[int, int, Fraction]]:
         """Positive entries in (src, dst) order."""
-        for s, row in enumerate(self.rows, 1):
-            for t, p in enumerate(row, 1):
-                if p and p > 0:
-                    yield s, t, p
+        for s, (row, targets) in enumerate(zip(self.rows, self.succ), 1):
+            for t in targets:
+                yield s, t, row[t - 1]
 
     def transition_count(self) -> int:
-        return sum(1 for row in self.rows for p in row if p and p > 0)
+        return sum(map(len, self.succ))
 
 
 def state_set(states: Iterable[int], n: int) -> StateSet:

@@ -3,11 +3,13 @@
 Both strategies are subset sequences handed to the one collapse fold,
 :func:`path_abstract_seq`.  The flat one is each nontrivial component of a
 region, then the region.  The recursive one puts each component's own
-nested components, innermost first, before it.  It reads that whole order
-from the input chain: a collapse rewrites only its members' rows and adds
-transitions only onto states its members already fed, so every component's
-rows and interior are the same in the input as in the chain it is collapsed
-in.  Both land on exactly the matrix obtained by collapsing the region
+nested components, innermost first, before it.  It finds that whole order
+on the input chain's positive digraph (``Dtmc.succ`` for the components,
+``Dtmc.pred`` for each interior), reading matrix entries only to tell a
+self-loop: a collapse rewrites only its members' rows and adds transitions
+only onto states its members already fed, so every component's edges and
+interior are the same in the input as in the chain it is collapsed in.
+Both land on exactly the matrix obtained by collapsing the region
 directly; the point of going piecewise is that the intermediate chains are
 worth looking at, not the final one.
 """
@@ -33,13 +35,12 @@ class NonTerminatingInteriorError(DtmcError):
 def sccs(d: Dtmc, subset: Iterable[int]) -> list[StateSet]:
     """Strongly connected components of the positive digraph restricted to
     ``subset``, ordered so every component precedes the components it can
-    reach; ties break on the smallest member index.
+    reach; ties break on the smallest member index.  Reads ``d.succ`` of
+    the members only.
     """
-    vertices = sorted(state_set(subset, d.n))
-    succ = {}
-    for v in vertices:
-        row = d.rows[v - 1]
-        succ[v] = [t for t in vertices if row[t - 1] and row[t - 1] > 0]
+    members = state_set(subset, d.n)
+    vertices = sorted(members)
+    succ = {v: [t for t in d.succ[v - 1] if t in members] for v in vertices}
     return _order_components(_tarjan(vertices, succ), succ)
 
 

@@ -174,6 +174,20 @@ MODELS = {
 }
 
 
+def nested_cycle(n: int) -> Dtmc:
+    """States 1 -> 2 -> ... -> n+1; state n+1 returns to each of 2..n and
+    leaves for the absorbing n+2 and n+3, each with probability 1/(n+2).
+
+    Every component of 2..n+1 nests the next one, n levels deep, and each
+    goal is reached with probability 1/3.
+    """
+    share = Fraction(1, n + 2)
+    transitions = {(s, s + 1): 1 for s in range(1, n + 1)}
+    transitions.update({(n + 1, t): share for t in [*range(2, n + 1), n + 2, n + 3]})
+    transitions.update({(n + 2, n + 2): 1, (n + 3, n + 3): 1})
+    return Dtmc.from_transitions(n + 3, 1, transitions)
+
+
 def random_goal_model(
     rng: random.Random, n: int, n_goals: int = 2, fast: bool = False
 ) -> tuple[Dtmc, list[int]]:
@@ -369,3 +383,69 @@ def prune_isolated_by_prob(d: Dtmc) -> tuple[Dtmc, dict[int, int]]:
     mapping = {old: new for new, old in enumerate(keep, start=1)}
     rows = [[d.prob(s, t) for t in keep] for s in keep]
     return Dtmc.from_rows(mapping[d.init], rows), mapping
+
+
+def succ_by_prob(d: Dtmc) -> tuple[tuple[int, ...], ...]:
+    return tuple(
+        tuple(t for t in d.states() if d.prob(s, t) > 0) for s in d.states()
+    )
+
+
+def pred_by_prob(d: Dtmc) -> tuple[tuple[int, ...], ...]:
+    return tuple(
+        tuple(s for s in d.states() if d.prob(s, t) > 0) for t in d.states()
+    )
+
+
+def sccs_by_prob(d: Dtmc, subset) -> list[frozenset[int]]:
+    """Components as classes of mutual reachability inside ``subset``,
+    listed by repeatedly taking, among the components no unlisted
+    component reaches, the one with the smallest member."""
+    s1 = sorted(state_set(subset, d.n))
+    reach = {v: {v} for v in s1}
+    changed = True
+    while changed:
+        changed = False
+        for v in s1:
+            more = {t for u in reach[v] for t in s1 if d.prob(u, t) > 0}
+            if not more <= reach[v]:
+                reach[v] |= more
+                changed = True
+    comps = {frozenset(w for w in s1 if v in reach[w] and w in reach[v]) for v in s1}
+    out: list[frozenset[int]] = []
+    while comps:
+        ready = [
+            c
+            for c in comps
+            if not any(o != c and next(iter(c)) in reach[min(o)] for o in comps)
+        ]
+        first = min(ready, key=min)
+        out.append(first)
+        comps.remove(first)
+    return out
+
+
+def most_probable_path_by_prob(
+    d: Dtmc, src: int, dst: int, within=None
+) -> tuple[tuple[int, ...], Fraction]:
+    """Every simple path from ``src`` to ``dst`` whose inner states lie in
+    ``within`` (any states when it is None), walked by depth-first search:
+    the most probable one, ties to the lexicographically smallest."""
+    if src == dst:
+        return (src,), Fraction(1)
+    inner = set(d.states()) if within is None else set(within)
+    best: tuple[Fraction, tuple[int, ...]] = (Fraction(0), ())
+    stack = [((src,), Fraction(1))]
+    while stack:
+        path, prob = stack.pop()
+        for t in d.states():
+            p = d.prob(path[-1], t)
+            if p == 0 or t in path:
+                continue
+            if t == dst:
+                cand = (prob * p, path + (t,))
+                if cand[0] > best[0] or (cand[0] == best[0] and cand[1] < best[1]):
+                    best = cand
+            elif t in inner:
+                stack.append((path + (t,), prob * p))
+    return best[1], best[0]

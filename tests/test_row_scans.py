@@ -1,6 +1,8 @@
-"""Differential check of the layers that scan ``Dtmc.rows`` directly
-against their entry-by-entry references, which read every entry through
-the bounds-checked ``Dtmc.prob``."""
+"""Differential check of the layers that read ``Dtmc.rows`` and the
+positive digraph ``Dtmc.succ`` / ``Dtmc.pred`` directly against their
+entry-by-entry references, which read every entry through the
+bounds-checked ``Dtmc.prob``; and a count of the entries the graph layers
+read, which must stay linear in the transitions."""
 
 import random
 from fractions import Fraction
@@ -13,18 +15,29 @@ from helpers import (
     MODELS,
     frontier_by_prob,
     linear_system_by_prob,
+    most_probable_path_by_prob,
+    nested_cycle,
+    pred_by_prob,
     prune_isolated_by_prob,
     random_subset,
     reach_backward_by_prob,
+    sccs_by_prob,
+    succ_by_prob,
     transition_count_by_prob,
 )
 from pathfold.abstraction import (
     frontier,
+    interior_zero,
     linear_system,
     path_abstract,
+    path_abstract_seq,
     prune_isolated,
     reach_backward,
 )
+from pathfold.checker import most_probable_path
+from pathfold.cli import parse, serialize
+from pathfold.core import Dtmc
+from pathfold.scc import sccs
 
 
 def _all_fractions(rows) -> bool:
@@ -56,3 +69,88 @@ def test_row_scans_equal_entry_by_entry_references(kind, seed, n):
         assert (pruned, mapping) == prune_isolated_by_prob(chain)
         assert _all_fractions(pruned.rows)
         assert chain.transition_count() == transition_count_by_prob(chain)
+
+
+def _graph_matches(d: Dtmc) -> bool:
+    return d.succ == succ_by_prob(d) and d.pred == pred_by_prob(d)
+
+
+@pytest.mark.parametrize("kind", sorted(MODELS))
+@settings(max_examples=150)
+@given(seed=st.integers(0, 2**32), n=st.integers(1, 10))
+def test_every_chain_carries_its_positive_digraph(kind, seed, n):
+    rng = random.Random(seed)
+    d = MODELS[kind](rng, n)
+    assert _graph_matches(d)
+    rows = [[d.prob(s, t) for t in d.states()] for s in d.states()]
+    assert _graph_matches(Dtmc.from_rows(d.init, rows))
+    # explicit zeros in the mapping must not enter the lists
+    table = {(s, t): d.prob(s, t) for s in d.states() for t in d.states()}
+    assert _graph_matches(Dtmc.from_transitions(d.n, d.init, table))
+    zeros = [(s, t) for s in d.states() for t in d.states() if d.prob(s, t) == 0]
+    parsed = parse(serialize(d) + "".join(f"{s} {t} 0\n" for s, t in zeros[:1]))
+    assert parsed == d and _graph_matches(parsed)
+    # each collapse derives its lists from the lists of the chain before
+    for chain in (d, parsed):
+        subsets = [random_subset(rng, d.states()) for _ in range(rng.randint(1, 3))]
+        for k in range(1, len(subsets) + 1):
+            collapsed = path_abstract_seq(chain, subsets[:k])
+            assert _graph_matches(collapsed)
+        assert _graph_matches(prune_isolated(collapsed)[0])
+
+
+@pytest.mark.parametrize("kind", sorted(MODELS))
+@settings(max_examples=100)
+@given(seed=st.integers(0, 2**32), n=st.integers(1, 7))
+def test_graph_walks_equal_entry_by_entry_references(kind, seed, n):
+    rng = random.Random(seed)
+    d = MODELS[kind](rng, n)
+    for chain in (d, path_abstract(d, random_subset(rng, d.states()))):
+        subset = random_subset(rng, d.states())
+        assert sccs(chain, subset) == sccs_by_prob(chain, subset)
+        src, dst = rng.randint(1, n), rng.randint(1, n)
+        assert most_probable_path(chain, src, dst) == most_probable_path_by_prob(
+            chain, src, dst
+        )
+        assert most_probable_path(
+            chain, src, dst, within=subset
+        ) == most_probable_path_by_prob(chain, src, dst, within=subset)
+
+
+def _counting_chain(d: Dtmc) -> tuple[Dtmc, list[int]]:
+    """``d`` built directly over rows that count the entries read from them,
+    by index or by iteration."""
+    reads = [0]
+
+    class Row(tuple):
+        def __getitem__(self, i):
+            reads[0] += 1
+            return tuple.__getitem__(self, i)
+
+        def __iter__(self):
+            reads[0] += len(self)
+            return tuple.__iter__(self)
+
+    return Dtmc(d.init, tuple(Row(row) for row in d.rows)), reads
+
+
+def test_graph_layers_read_entries_linear_in_the_transitions():
+    chain, reads = _counting_chain(nested_cycle(60))
+    # a directly built chain reads every row once, on first use, to find
+    # its transitions; what is bounded below is each layer's own reads
+    nnz = chain.transition_count()
+    n = chain.n
+    layers = {
+        "interior_zero": lambda s1: interior_zero(chain, s1),
+        "reach_backward": lambda s1: reach_backward(chain, s1, {n - 1, n}),
+        "sccs": lambda s1: sccs(chain, s1),
+        "most_probable_path": lambda s1: most_probable_path(chain, 1, n),
+        "most_probable_path within": lambda s1: most_probable_path(
+            chain, 1, n, within=s1
+        ),
+    }
+    for s1 in (range(2, n - 1), range(2, n // 2), range(n // 2, n - 1)):
+        for name, layer in layers.items():
+            reads[0] = 0
+            layer(frozenset(s1))
+            assert reads[0] <= 2 * nnz, (name, s1, reads[0], nnz)

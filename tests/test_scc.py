@@ -18,6 +18,7 @@ from helpers import (
     S1,
     as_fractions,
     entry_map,
+    nested_cycle,
     random_dtmc,
     random_subset,
 )
@@ -192,20 +193,6 @@ def test_recursive_collapse_accepts_entered_cycle():
 
 
 # --- nested cycles ----------------------------------------------------------
-
-
-def nested_cycle(n: int) -> Dtmc:
-    """States 1 -> 2 -> ... -> n+1; state n+1 returns to each of 2..n and
-    leaves for the absorbing n+2 and n+3, each with probability 1/(n+2).
-
-    Every component of 2..n+1 nests the next one, n levels deep, and each
-    goal is reached with probability 1/3.
-    """
-    share = Fraction(1, n + 2)
-    transitions = {(s, s + 1): 1 for s in range(1, n + 1)}
-    transitions.update({(n + 1, t): share for t in [*range(2, n + 1), n + 2, n + 3]})
-    transitions.update({(n + 2, n + 2): 1, (n + 3, n + 3): 1})
-    return Dtmc.from_transitions(n + 3, 1, transitions)
 
 
 _LOW_RECURSION_LIMIT_MAIN = """
