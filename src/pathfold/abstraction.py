@@ -60,9 +60,10 @@ class FrontierSets:
 class LinearSystem:
     """``a @ q = b`` over the reaching set: ``a`` is ``I - P`` there and ``b``
     holds the one-step exit probabilities, so row ``i`` of ``q`` is reaching
-    state ``i``'s probability of leaving through each exit."""
+    state ``i``'s probability of leaving through each exit.  Each row of
+    ``a`` maps the columns of its nonzero entries to them; ``b`` is dense."""
 
-    a: tuple[tuple[Fraction, ...], ...]
+    a: tuple[dict[int, Fraction], ...]
     b: tuple[tuple[Fraction, ...], ...]
 
 
@@ -119,7 +120,7 @@ def linear_system(d: Dtmc, fr: FrontierSets) -> LinearSystem:
     a, b = [], []
     for i, r in enumerate(unknowns):
         row = d.rows[r - 1]
-        arow = [zero] * len(col)
+        arow = {}
         brow = [zero] * len(exit_col)
         for t in d.succ[r - 1]:
             if t in col:
@@ -127,7 +128,7 @@ def linear_system(d: Dtmc, fr: FrontierSets) -> LinearSystem:
             if t in exit_col:
                 brow[exit_col[t]] = row[t - 1]
         arow[i] = 1 - row[r - 1]
-        a.append(tuple(arow))
+        a.append(arow)
         b.append(tuple(brow))
     return LinearSystem(tuple(a), tuple(b))
 
@@ -140,8 +141,9 @@ def solve_linear(
     Returns row ``i`` of ``q`` for each ``i`` in ``rows``, in that order, or
     every row in order when ``rows`` is omitted.
 
-    Each row of ``[a | b]`` is scaled to integers by the lcm of its
-    denominators and kept as a ``{column: int}`` map of its nonzero entries.
+    Each row of ``[a | b]``, ``b``'s columns numbered from ``m`` on, is
+    scaled to integers by the lcm of its denominators and kept as a
+    ``{column: int}`` map of its nonzero entries.
     The pivot order is approximate Markowitz: the next pivot column is the
     live column with the fewest live rows, read off a lazy heap of column
     counts, and its shortest live row becomes the pivot row.  Columns of
@@ -164,7 +166,7 @@ def solve_linear(
     live: dict[int, dict[int, int]] = {}
     holders: list[set[int]] = [set() for _ in range(m)]
     for r, (arow, brow) in enumerate(zip(system.a, system.b)):
-        entries = [(c, x) for c, x in enumerate((*arow, *brow)) if x]
+        entries = [(c, x) for c, x in (*arow.items(), *enumerate(brow, m)) if x]
         scale = lcm(*(x.denominator for _, x in entries))
         live[r] = {c: x.numerator * scale // x.denominator for c, x in entries}
         for c, _ in entries:

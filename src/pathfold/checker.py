@@ -10,7 +10,7 @@ from typing import Iterable, Sequence
 
 from .abstraction import path_abstract
 from .core import Dtmc, DtmcError, StateSet, non_absorbing, state_set
-from .scc import abstract_nested, abstract_via_sccs, nontrivial_sccs
+from .scc import abstract_nested, abstract_via_sccs
 from .words import Word, path_prob, splice
 
 METHODS = ("direct", "scc", "recursive")
@@ -86,7 +86,7 @@ def model_check(
     elif method == "scc":
         final = abstract_via_sccs(d, k)
     elif method == "recursive":
-        final = abstract_nested(d, nontrivial_sccs(d, k), k)
+        final = abstract_nested(d, k)
     else:
         raise ValueError(f"unknown method {method!r}; pick one of {METHODS}")
     per_goal = {g: final.prob(d.init, g) for g in sorted(goal_set)}

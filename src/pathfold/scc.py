@@ -12,11 +12,15 @@ interior are the same in the input as in the chain it is collapsed in.
 Both land on exactly the matrix obtained by collapsing the region
 directly; the point of going piecewise is that the intermediate chains are
 worth looking at, not the final one.
+
+Components are listed in the reverse of the order Tarjan's search emits
+them: each precedes the components it can reach, and components that cannot
+reach each other keep the search's order.  Since a collapse is exact along
+any subset sequence, that order changes no result.
 """
 
 from __future__ import annotations
 
-import heapq
 from typing import Iterable
 
 from .abstraction import interior_zero, path_abstract, path_abstract_seq
@@ -35,13 +39,15 @@ class NonTerminatingInteriorError(DtmcError):
 def sccs(d: Dtmc, subset: Iterable[int]) -> list[StateSet]:
     """Strongly connected components of the positive digraph restricted to
     ``subset``, ordered so every component precedes the components it can
-    reach; ties break on the smallest member index.  Reads ``d.succ`` of
-    the members only.
+    reach; components that cannot reach each other come in whatever order
+    the search met them.  Reads ``d.succ`` of the members only.
     """
     members = state_set(subset, d.n)
     vertices = sorted(members)
     succ = {v: [t for t in d.succ[v - 1] if t in members] for v in vertices}
-    return _order_components(_tarjan(vertices, succ), succ)
+    # Tarjan's search emits a component only after every component it
+    # reaches, so the reversed emission order is topological.
+    return _tarjan(vertices, succ)[::-1]
 
 
 def _tarjan(vertices: list[int], succ: dict[int, list[int]]) -> list[StateSet]:
@@ -87,31 +93,6 @@ def _tarjan(vertices: list[int], succ: dict[int, list[int]]) -> list[StateSet]:
                 parent = work[-1][0]
                 low[parent] = min(low[parent], low[v])
     return comps
-
-
-def _order_components(
-    comps: list[StateSet], succ: dict[int, list[int]]
-) -> list[StateSet]:
-    comp_of = {v: k for k, comp in enumerate(comps) for v in comp}
-    edges: dict[int, set[int]] = {k: set() for k in range(len(comps))}
-    indegree = [0] * len(comps)
-    for v, targets in succ.items():
-        for t in targets:
-            a, b = comp_of[v], comp_of[t]
-            if a != b and b not in edges[a]:
-                edges[a].add(b)
-                indegree[b] += 1
-    ready = [(min(comps[k]), k) for k in range(len(comps)) if indegree[k] == 0]
-    heapq.heapify(ready)
-    out: list[StateSet] = []
-    while ready:
-        _, k = heapq.heappop(ready)
-        out.append(comps[k])
-        for b in edges[k]:
-            indegree[b] -= 1
-            if indegree[b] == 0:
-                heapq.heappush(ready, (min(comps[b]), b))
-    return out
 
 
 def nontrivial_sccs(d: Dtmc, subset: Iterable[int]) -> list[StateSet]:
@@ -166,19 +147,18 @@ def abstract_recursive(d: Dtmc, subset: Iterable[int]) -> Dtmc:
     return path_abstract_seq(d, reversed(outermost_first))
 
 
-def abstract_nested(
-    d: Dtmc, comps: Iterable[Iterable[int]], subset: Iterable[int]
-) -> Dtmc:
-    """Collapse each of ``comps`` by :func:`abstract_recursive`, in order,
-    then ``subset``.
+def abstract_nested(d: Dtmc, subset: Iterable[int]) -> Dtmc:
+    """Collapse each nontrivial component of ``subset`` by
+    :func:`abstract_recursive`, in order, then ``subset``.
 
     A component that nothing enters cannot anchor a collapse and is
     skipped; the final collapse of ``subset`` wipes it out regardless.
     """
+    s1 = state_set(subset, d.n)
     current = d
-    for comp in comps:
+    for comp in nontrivial_sccs(d, s1):
         try:
             current = abstract_recursive(current, comp)
         except NonTerminatingInteriorError:
             continue
-    return path_abstract(current, subset)
+    return path_abstract(current, s1)

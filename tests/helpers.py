@@ -304,6 +304,15 @@ def submatrix_power_entry(d: Dtmc, subset, power: int, s: int, r: int) -> Fracti
     return acc[idx[s]][idx[r]]
 
 
+def system_from_dense(a, b) -> LinearSystem:
+    """The :class:`LinearSystem` of dense ``a`` and ``b``: each row of ``a``
+    kept as the map of its nonzero entries, ``b`` as tuples."""
+    return LinearSystem(
+        tuple({c: x for c, x in enumerate(row) if x} for row in a),
+        tuple(map(tuple, b)),
+    )
+
+
 def gauss_jordan_solve(
     system: LinearSystem, rows=None
 ) -> tuple[tuple[Fraction, ...], ...]:
@@ -312,9 +321,9 @@ def gauss_jordan_solve(
     the reference the sparse integer solver is checked against.  Like the
     solver, it returns only the solution rows listed in ``rows`` if given,
     but it always solves for all of them."""
-    a = [list(row) for row in system.a]
+    m = len(system.a)
+    a = [[row.get(c, Fraction(0)) for c in range(m)] for row in system.a]
     b = [list(row) for row in system.b]
-    m = len(a)
     for col in range(m):
         piv = next((r for r in range(col, m) if a[r][col] != 0), None)
         if piv is None:
@@ -367,9 +376,9 @@ def linear_system_by_prob(d: Dtmc, fr: FrontierSets) -> LinearSystem:
     u = sorted(fr.reaching)
     exits = sorted(fr.exits)
     one, zero = Fraction(1), Fraction(0)
-    a = tuple(tuple((one if r == c else zero) - d.prob(r, c) for c in u) for r in u)
-    b = tuple(tuple(d.prob(r, t) for t in exits) for r in u)
-    return LinearSystem(a, b)
+    a = [[(one if r == c else zero) - d.prob(r, c) for c in u] for r in u]
+    b = [[d.prob(r, t) for t in exits] for r in u]
+    return system_from_dense(a, b)
 
 
 def prune_isolated_by_prob(d: Dtmc) -> tuple[Dtmc, dict[int, int]]:
@@ -399,8 +408,7 @@ def pred_by_prob(d: Dtmc) -> tuple[tuple[int, ...], ...]:
 
 def sccs_by_prob(d: Dtmc, subset) -> list[frozenset[int]]:
     """Components as classes of mutual reachability inside ``subset``,
-    listed by repeatedly taking, among the components no unlisted
-    component reaches, the one with the smallest member."""
+    listed by smallest member."""
     s1 = sorted(state_set(subset, d.n))
     reach = {v: {v} for v in s1}
     changed = True
@@ -412,17 +420,7 @@ def sccs_by_prob(d: Dtmc, subset) -> list[frozenset[int]]:
                 reach[v] |= more
                 changed = True
     comps = {frozenset(w for w in s1 if v in reach[w] and w in reach[v]) for v in s1}
-    out: list[frozenset[int]] = []
-    while comps:
-        ready = [
-            c
-            for c in comps
-            if not any(o != c and next(iter(c)) in reach[min(o)] for o in comps)
-        ]
-        first = min(ready, key=min)
-        out.append(first)
-        comps.remove(first)
-    return out
+    return sorted(comps, key=min)
 
 
 def most_probable_path_by_prob(

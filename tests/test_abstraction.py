@@ -19,9 +19,9 @@ from helpers import (
     random_subset,
     row_sum,
     submatrix_power_entry,
+    system_from_dense,
 )
 from pathfold.abstraction import (
-    LinearSystem,
     SingularMatrixError,
     frontier,
     linear_system,
@@ -93,11 +93,11 @@ def _frac_rows(rows):
 def test_solve_identity_returns_rhs():
     a = _frac_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     b = _frac_rows([[1, 2], [3, 4], ["5/7", 6]])
-    assert solve_linear(LinearSystem(a, b)) == b
+    assert solve_linear(system_from_dense(a, b)) == b
 
 
 def test_solve_scalar_division():
-    system = LinearSystem(_frac_rows([["3/4"]]), _frac_rows([[1]]))
+    system = system_from_dense(_frac_rows([["3/4"]]), _frac_rows([[1]]))
     assert solve_linear(system) == ((Fraction(4, 3),),)
 
 
@@ -109,7 +109,7 @@ def test_solve_worked_example_return_mass(me):
 
 
 def test_solve_singular_raises():
-    system = LinearSystem(
+    system = system_from_dense(
         _frac_rows([[1, -1], [1, -1]]), _frac_rows([[1], [0]])
     )
     with pytest.raises(SingularMatrixError):
@@ -130,7 +130,7 @@ def test_solve_checks_against_multiplication():
             [[Fraction(rng.randint(-4, 4)) for _ in range(2)] for _ in range(m)]
         )
         try:
-            q = solve_linear(LinearSystem(a, b))
+            q = solve_linear(system_from_dense(a, b))
         except SingularMatrixError:
             continue
         for i in range(m):

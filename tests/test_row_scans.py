@@ -64,7 +64,8 @@ def test_row_scans_equal_entry_by_entry_references(kind, seed, n):
         )
         system = linear_system(chain, fr)
         assert system == linear_system_by_prob(chain, fr)
-        assert _all_fractions(system.a) and _all_fractions(system.b)
+        assert _all_fractions(row.values() for row in system.a)
+        assert _all_fractions(system.b)
         pruned, mapping = prune_isolated(chain)
         assert (pruned, mapping) == prune_isolated_by_prob(chain)
         assert _all_fractions(pruned.rows)
@@ -107,7 +108,17 @@ def test_graph_walks_equal_entry_by_entry_references(kind, seed, n):
     d = MODELS[kind](rng, n)
     for chain in (d, path_abstract(d, random_subset(rng, d.states()))):
         subset = random_subset(rng, d.states())
-        assert sccs(chain, subset) == sccs_by_prob(chain, subset)
+        comps = sccs(chain, subset)
+        assert sorted(comps, key=min) == sccs_by_prob(chain, subset)
+        # no transition inside the subset leads back to an earlier component
+        rank = {s: k for k, comp in enumerate(comps) for s in comp}
+        assert all(
+            rank[s] <= rank[t]
+            for s in rank
+            for t in rank
+            if chain.prob(s, t) > 0
+        )
+        assert sccs(parse(serialize(chain)), subset) == comps
         src, dst = rng.randint(1, n), rng.randint(1, n)
         assert most_probable_path(chain, src, dst) == most_probable_path_by_prob(
             chain, src, dst

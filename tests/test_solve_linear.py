@@ -10,10 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import MODELS, entry_map, gauss_jordan_solve, random_subset
+from helpers import (
+    MODELS,
+    entry_map,
+    gauss_jordan_solve,
+    random_subset,
+    system_from_dense,
+)
 from pathfold import abstraction
 from pathfold.abstraction import (
-    LinearSystem,
     SingularMatrixError,
     path_abstract,
     solve_linear,
@@ -46,7 +51,7 @@ def systems(draw):
     if shape == "dependent" and m >= 3:
         x, y = value(1), value(1)
         a[-1] = [x * p + y * q for p, q in zip(a[0], a[1])]
-    return LinearSystem(tuple(map(tuple, a)), tuple(map(tuple, b)))
+    return system_from_dense(a, b)
 
 
 def _outcome(solver, system):
@@ -80,7 +85,7 @@ def test_solve_linear_long_tridiagonal_matches_oracle():
     diagonals = {-1: p - 1, 0: Fraction(1), 1: -p}
     a = [[diagonals.get(j - i, ZERO) for j in range(m)] for i in range(m)]
     b = [[p if i == m - 1 else ZERO, 1 - p if i == 0 else ZERO] for i in range(m)]
-    system = LinearSystem(tuple(map(tuple, a)), tuple(map(tuple, b)))
+    system = system_from_dense(a, b)
     assert solve_linear(system) == gauss_jordan_solve(system)
 
 
@@ -96,7 +101,7 @@ def test_solve_linear_rows_equal_gauss_jordan_rows(data):
 
 
 def test_solve_linear_rows_must_be_unknowns():
-    system = LinearSystem(((Fraction(1),),), ((Fraction(1, 2),),))
+    system = system_from_dense([[Fraction(1)]], [[Fraction(1, 2)]])
     assert solve_linear(system, [0]) == ((Fraction(1, 2),),)
     for rows in ([1], [-1]):
         with pytest.raises(ValueError):
@@ -114,7 +119,7 @@ def _arrow(m):
         if j:
             a[0][j], a[j][0] = out, back
     b = [[Fraction(1, 2), Fraction(j, 2 * m)] for j in range(m)]
-    return LinearSystem(tuple(map(tuple, a)), tuple(map(tuple, b)))
+    return system_from_dense(a, b)
 
 
 @pytest.mark.parametrize("rows", [None, [0], [5, 0, 39]])
