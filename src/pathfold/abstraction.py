@@ -111,7 +111,7 @@ def reach_backward(d: Dtmc, subset: Iterable[int], exits: Iterable[int]) -> Stat
 def linear_system(d: Dtmc, fr: FrontierSets) -> LinearSystem:
     """Assemble the exact exit system for one collapse step; rows follow
     ``sorted(fr.reaching)``, ``b``'s columns ``sorted(fr.exits)``.  Each
-    row reads only the positive entries ``d.succ`` lists, plus its
+    row reads only the nonzero entries ``d.succ`` lists, plus its
     diagonal."""
     unknowns = sorted(fr.reaching)
     col = {r: i for i, r in enumerate(unknowns)}
@@ -261,7 +261,7 @@ def path_abstract(d: Dtmc, subset: Iterable[int]) -> Dtmc:
     say) silently drops the trapped mass and leaves the result
     substochastic; that is intended, not an error.
 
-    The new chain's positive digraph is derived from ``d``'s: only the
+    The new chain's support is derived from ``d``'s: only the
     members' successor lists and the predecessor lists of the states they
     fed before or feed now are rewritten.
     """
@@ -287,7 +287,7 @@ def path_abstract(d: Dtmc, subset: Iterable[int]) -> Dtmc:
             targets = []
             for t, p in zip(exits, probs):
                 row[t - 1] = p
-                if p.numerator > 0:
+                if p.numerator:
                     targets.append(t)
                     fed.setdefault(t, []).append(s)
             rows[s - 1] = tuple(row)
@@ -312,11 +312,12 @@ def prune_isolated(d: Dtmc) -> tuple[Dtmc, dict[int, int]]:
     """Drop non-initial states whose row and column are entirely zero.
 
     Returns the smaller chain and the old-to-new index map of the kept
-    states; probabilities are untouched.
+    states; probabilities are untouched.  The used states are read off
+    ``d.succ``, and the result carries ``d``'s support renumbered: the map
+    is monotone, so every list stays ascending.
     """
     used = {d.init}
-    for s, row in enumerate(d.rows, 1):
-        targets = [t for t, p in enumerate(row, 1) if p and p > 0]
+    for s, targets in enumerate(d.succ, 1):
         if targets:
             used.add(s)
             used.update(targets)
@@ -324,4 +325,6 @@ def prune_isolated(d: Dtmc) -> tuple[Dtmc, dict[int, int]]:
     mapping = {old: new for new, old in enumerate(keep, start=1)}
     cols = [t - 1 for t in keep]
     rows = tuple(tuple(d.rows[s - 1][c] for c in cols) for s in keep)
-    return Dtmc(mapping[d.init], rows), mapping
+    succ = tuple(tuple([mapping[t] for t in d.succ[s - 1]]) for s in keep)
+    pred = tuple(tuple([mapping[r] for r in d.pred[t - 1]]) for t in keep)
+    return Dtmc._with_graph(mapping[d.init], rows, succ, pred), mapping

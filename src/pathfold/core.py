@@ -64,16 +64,18 @@ class Dtmc:
     rows it leaves alone.  :meth:`from_rows` and :meth:`from_transitions`
     accept any numbers and normalise them to that form.
 
-    Beside the rows every chain carries its positive digraph: ``succ[s - 1]``
-    lists the targets of state ``s`` with positive probability and
-    ``pred[t - 1]`` the sources of state ``t``, both ascending.  A directly
+    Beside the rows every chain carries its support, the digraph of its
+    nonzero entries: ``succ[s - 1]`` lists the targets of state ``s`` with
+    nonzero probability and ``pred[t - 1]`` the sources of state ``t``,
+    both ascending.  On a chain :func:`validate` accepts no entry is
+    negative, so the support is exactly the positive digraph.  A directly
     built chain derives ``succ`` from ``rows`` on first use, in one pass
     over all n² entries; :meth:`from_transitions` builds it from its
     mapping instead.  ``pred`` is derived from ``succ`` without reading
-    ``rows``.  A collapse hands both on, rewriting only the lists its
-    rewritten rows touch.  The graph layers walk these lists and read
-    ``rows`` only at positive entries.  Equality, hashing and ``repr`` look
-    at ``init`` and ``rows`` alone.
+    ``rows``.  A collapse or a prune hands both on, rewriting only the lists
+    its rewritten rows touch.  :func:`validate` and the graph layers walk
+    these lists and read ``rows`` only at nonzero entries.  Equality,
+    hashing and ``repr`` look at ``init`` and ``rows`` alone.
     """
 
     init: int
@@ -94,7 +96,7 @@ class Dtmc:
             if not (1 <= s <= n and 1 <= t <= n):
                 raise ValueError(f"state pair ({s},{t}) out of range 1..{n}")
             rows[s - 1][t - 1] = p = Fraction(p)  # type: ignore[arg-type]
-            if p.numerator > 0:
+            if p.numerator:
                 succ[s - 1].append(t)
         for targets in succ:
             targets.sort()
@@ -118,17 +120,17 @@ class Dtmc:
 
     @cached_property
     def succ(self) -> tuple[tuple[int, ...], ...]:
-        """Per state, its targets with positive probability, ascending."""
-        # A Fraction has the sign of its numerator, and reading that is far
-        # cheaper than a Fraction comparison.
+        """Per state, its targets with nonzero probability, ascending."""
+        # A Fraction is zero exactly when its numerator is, and reading that
+        # is far cheaper than a Fraction comparison.
         return tuple(
-            tuple([t for t, p in enumerate(row, 1) if p.numerator > 0])
+            tuple([t for t, p in enumerate(row, 1) if p.numerator])
             for row in self.rows
         )
 
     @cached_property
     def pred(self) -> tuple[tuple[int, ...], ...]:
-        """Per state, its sources with positive probability, ascending."""
+        """Per state, its sources with nonzero probability, ascending."""
         pred: list[list[int]] = [[] for _ in self.rows]
         for s, targets in enumerate(self.succ, 1):
             for t in targets:
@@ -148,7 +150,7 @@ class Dtmc:
         return self.rows[s - 1][t - 1]
 
     def transitions(self) -> Iterator[tuple[int, int, Fraction]]:
-        """Positive entries in (src, dst) order."""
+        """Nonzero entries in (src, dst) order."""
         for s, (row, targets) in enumerate(zip(self.rows, self.succ), 1):
             for t in targets:
                 yield s, t, row[t - 1]
@@ -170,7 +172,9 @@ def validate(d: Dtmc) -> ValidationReport:
     """Check entry ranges, row sums and the initial state.
 
     Returns a report with the stochastic/substochastic verdict; raises a
-    :class:`ValidationError` subclass on any violation.
+    :class:`ValidationError` subclass on any violation, naming the first
+    offending entry in (src, dst) order.  Every entry outside the support
+    is zero and so in range, so only the entries ``d.succ`` lists are read.
     """
     n = d.n
     if not (1 <= d.init <= n):
@@ -178,11 +182,10 @@ def validate(d: Dtmc) -> ValidationReport:
     if any(len(row) != n for row in d.rows):
         raise ValidationError("matrix is not square")
     stochastic = True
-    for s, row in enumerate(d.rows, 1):
+    for s, (row, targets) in enumerate(zip(d.rows, d.succ), 1):
         total = Fraction(0)
-        for t, p in enumerate(row, 1):
-            if not p:
-                continue
+        for t in targets:
+            p = row[t - 1]
             if p < 0:
                 raise NegativeEntryError(s, t, p)
             if p > 1:

@@ -4,7 +4,8 @@ Both strategies are subset sequences handed to the one collapse fold,
 :func:`path_abstract_seq`.  The flat one is each nontrivial component of a
 region, then the region.  The recursive one puts each component's own
 nested components, innermost first, before it.  It finds that whole order
-on the input chain's positive digraph (``Dtmc.succ`` for the components,
+on the input chain's support, the digraph of its nonzero entries, which on
+a valid chain is its positive digraph (``Dtmc.succ`` for the components,
 ``Dtmc.pred`` for each interior), reading matrix entries only to tell a
 self-loop: a collapse rewrites only its members' rows and adds transitions
 only onto states its members already fed, so every component's edges and
@@ -37,10 +38,11 @@ class NonTerminatingInteriorError(DtmcError):
 
 
 def sccs(d: Dtmc, subset: Iterable[int]) -> list[StateSet]:
-    """Strongly connected components of the positive digraph restricted to
-    ``subset``, ordered so every component precedes the components it can
-    reach; components that cannot reach each other come in whatever order
-    the search met them.  Reads ``d.succ`` of the members only.
+    """Strongly connected components of the support (on a valid chain, the
+    positive digraph) restricted to ``subset``, ordered so every component
+    precedes the components it can reach; components that cannot reach
+    each other come in whatever order the search met them.  Reads
+    ``d.succ`` of the members only.
     """
     members = state_set(subset, d.n)
     vertices = sorted(members)

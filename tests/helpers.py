@@ -11,7 +11,16 @@ from pathlib import Path
 
 import pathfold
 from pathfold.abstraction import FrontierSets, LinearSystem, SingularMatrixError
-from pathfold.core import Dtmc, state_set
+from pathfold.core import (
+    Dtmc,
+    EntryExceedsOneError,
+    InitOutOfRangeError,
+    NegativeEntryError,
+    RowSumExceedsOneError,
+    ValidationError,
+    ValidationReport,
+    state_set,
+)
 from pathfold.words import path_prob
 
 ME_TRANSITIONS = {
@@ -345,8 +354,31 @@ def gauss_jordan_solve(
 # directly: each reads every entry through the bounds-checked ``Dtmc.prob``.
 
 
+def validate_by_prob(d: Dtmc) -> ValidationReport:
+    """:func:`pathfold.core.validate` over all n² entries, zeros included."""
+    n = d.n
+    if not (1 <= d.init <= n):
+        raise InitOutOfRangeError(d.init, n)
+    if any(len(row) != n for row in d.rows):
+        raise ValidationError("matrix is not square")
+    stochastic = True
+    for s in d.states():
+        total = Fraction(0)
+        for t in d.states():
+            p = d.prob(s, t)
+            if p < 0:
+                raise NegativeEntryError(s, t, p)
+            if p > 1:
+                raise EntryExceedsOneError(s, t, p)
+            total += p
+        if total > 1:
+            raise RowSumExceedsOneError(s, total)
+        stochastic = stochastic and total == 1
+    return ValidationReport(is_stochastic=stochastic)
+
+
 def transition_count_by_prob(d: Dtmc) -> int:
-    return sum(1 for s in d.states() for t in d.states() if d.prob(s, t) > 0)
+    return sum(1 for s in d.states() for t in d.states() if d.prob(s, t) != 0)
 
 
 def reach_backward_by_prob(d: Dtmc, subset, exits) -> frozenset[int]:
@@ -386,8 +418,8 @@ def prune_isolated_by_prob(d: Dtmc) -> tuple[Dtmc, dict[int, int]]:
         s
         for s in d.states()
         if s == d.init
-        or any(d.prob(s, t) > 0 for t in d.states())
-        or any(d.prob(r, s) > 0 for r in d.states())
+        or any(d.prob(s, t) != 0 for t in d.states())
+        or any(d.prob(r, s) != 0 for r in d.states())
     ]
     mapping = {old: new for new, old in enumerate(keep, start=1)}
     rows = [[d.prob(s, t) for t in keep] for s in keep]
@@ -396,13 +428,13 @@ def prune_isolated_by_prob(d: Dtmc) -> tuple[Dtmc, dict[int, int]]:
 
 def succ_by_prob(d: Dtmc) -> tuple[tuple[int, ...], ...]:
     return tuple(
-        tuple(t for t in d.states() if d.prob(s, t) > 0) for s in d.states()
+        tuple(t for t in d.states() if d.prob(s, t) != 0) for s in d.states()
     )
 
 
 def pred_by_prob(d: Dtmc) -> tuple[tuple[int, ...], ...]:
     return tuple(
-        tuple(s for s in d.states() if d.prob(s, t) > 0) for t in d.states()
+        tuple(s for s in d.states() if d.prob(s, t) != 0) for t in d.states()
     )
 
 

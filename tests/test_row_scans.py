@@ -1,5 +1,5 @@
 """Differential check of the layers that read ``Dtmc.rows`` and the
-positive digraph ``Dtmc.succ`` / ``Dtmc.pred`` directly against their
+support ``Dtmc.succ`` / ``Dtmc.pred`` directly against their
 entry-by-entry references, which read every entry through the
 bounds-checked ``Dtmc.prob``; and a count of the entries the graph layers
 read, which must stay linear in the transitions."""
@@ -8,7 +8,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -24,6 +24,7 @@ from helpers import (
     sccs_by_prob,
     succ_by_prob,
     transition_count_by_prob,
+    validate_by_prob,
 )
 from pathfold.abstraction import (
     frontier,
@@ -36,7 +37,7 @@ from pathfold.abstraction import (
 )
 from pathfold.checker import most_probable_path
 from pathfold.cli import parse, serialize
-from pathfold.core import Dtmc
+from pathfold.core import Dtmc, ValidationError, validate
 from pathfold.scc import sccs
 
 
@@ -72,6 +73,59 @@ def test_row_scans_equal_entry_by_entry_references(kind, seed, n):
         assert chain.transition_count() == transition_count_by_prob(chain)
 
 
+def _verdict(check, d: Dtmc):
+    """The report ``check`` returns, or the class, fields and message of
+    the validation error it raises."""
+    try:
+        return check(d)
+    except ValidationError as exc:
+        return type(exc), vars(exc), str(exc)
+
+
+def _corrupt(rng: random.Random, table: dict, n: int, kind: str) -> None:
+    """Overwrite one to three entries of the complete ``table`` so that the
+    chain breaks the rule ``kind`` names, maybe more than once."""
+    for _ in range(rng.randint(1, 3)):
+        s, t = rng.randint(1, n), rng.randint(1, n)
+        if kind == "negative":
+            table[s, t] = Fraction(-rng.randint(1, 4), rng.randint(1, 4))
+        elif kind == "above one":
+            table[s, t] = 1 + Fraction(rng.randint(1, 4), rng.randint(1, 4))
+        elif kind == "row sum":
+            # two entries in range whose sum is not
+            for u in (t, t % n + 1):
+                table[s, u] = Fraction(rng.randint(3, 4), 5)
+
+
+@pytest.mark.parametrize("build", ["from_rows", "from_transitions", "collapsed"])
+@pytest.mark.parametrize("kind", ["valid", "negative", "above one", "row sum", "init"])
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2**32), n=st.integers(1, 8), zeros=st.booleans())
+def test_validate_reads_the_support_to_the_same_verdict(build, kind, seed, n, zeros):
+    assume(n > 1 or kind != "row sum")
+    rng = random.Random(seed)
+    d = MODELS[rng.choice(sorted(MODELS))](rng, n)
+    table = {(s, t): d.prob(s, t) for s in d.states() for t in d.states()}
+    _corrupt(rng, table, n, kind)
+    broken = {s for (s, t), p in table.items() if p != d.prob(s, t)}
+    if not zeros:  # else explicit zeros stay in the mapping
+        table = {pair: p for pair, p in table.items() if p}
+    init = rng.choice([0, n + 1]) if kind == "init" else d.init
+    if build == "from_rows":
+        rows = [[table.get((s, t), 0) for t in d.states()] for s in d.states()]
+        chain = Dtmc.from_rows(init, rows)
+    else:
+        chain = Dtmc.from_transitions(n, init, table)
+    if build == "collapsed":
+        # a subset of intact rows keeps the exit system solvable; the
+        # broken rows stay outside, so the collapse hands them on as read
+        chain = path_abstract(chain, random_subset(rng, set(d.states()) - broken))
+    assert _graph_matches(chain)
+    verdict = _verdict(validate, chain)
+    assert verdict == _verdict(validate_by_prob, chain)
+    assert (kind == "valid") == (not isinstance(verdict, tuple))
+
+
 def _graph_matches(d: Dtmc) -> bool:
     return d.succ == succ_by_prob(d) and d.pred == pred_by_prob(d)
 
@@ -97,7 +151,10 @@ def test_every_chain_carries_its_positive_digraph(kind, seed, n):
         for k in range(1, len(subsets) + 1):
             collapsed = path_abstract_seq(chain, subsets[:k])
             assert _graph_matches(collapsed)
-        assert _graph_matches(prune_isolated(collapsed)[0])
+        pruned = prune_isolated(collapsed)[0]
+        # the prune hands its lists on instead of leaving them to be derived
+        assert {"succ", "pred"} <= vars(pruned).keys()
+        assert _graph_matches(pruned)
 
 
 @pytest.mark.parametrize("kind", sorted(MODELS))
@@ -159,9 +216,16 @@ def test_graph_layers_read_entries_linear_in_the_transitions():
         "most_probable_path within": lambda s1: most_probable_path(
             chain, 1, n, within=s1
         ),
+        "validate": lambda s1: validate(chain),
     }
     for s1 in (range(2, n - 1), range(2, n // 2), range(n // 2, n - 1)):
         for name, layer in layers.items():
             reads[0] = 0
             layer(frozenset(s1))
             assert reads[0] <= 2 * nnz, (name, s1, reads[0], nnz)
+        # the pruned chain carries its lists, so serializing it reads no
+        # dense row to find them
+        pruned, _ = prune_isolated(path_abstract(chain, s1))
+        assert {"succ", "pred"} <= vars(pruned).keys()
+        assert pruned.succ == succ_by_prob(pruned)
+        assert pruned.pred == pred_by_prob(pruned)
