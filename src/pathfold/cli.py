@@ -245,7 +245,7 @@ def _cmd_refine(args: argparse.Namespace, d: Dtmc) -> int:
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The one parser of this process, built on the first :func:`main` call;
+    """The one parser of this process, built when the module is imported;
     each ``parse_args`` fills a fresh namespace, so no flag outlives a call."""
     parser = argparse.ArgumentParser(
         prog="pathfold",
@@ -299,6 +299,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     refine_cmd.set_defaults(run=_cmd_refine)
     return parser
+
+
+_build_parser()
 
 
 def main(argv: list[str] | None = None) -> int:

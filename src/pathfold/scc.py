@@ -3,16 +3,18 @@
 Both strategies are subset sequences handed to the one collapse fold,
 :func:`path_abstract_seq`.  The flat one is each nontrivial component of a
 region, then the region.  The recursive one puts each component's own
-nested components, innermost first, before it.  It finds that whole order
-on the input chain's support, the digraph of its nonzero entries, which on
-a valid chain is its positive digraph (``Dtmc.succ`` for the components,
-``Dtmc.pred`` for each interior), reading matrix entries only to tell a
-self-loop: a collapse rewrites only its members' rows and adds transitions
-only onto states its members already fed, so every component's edges and
-interior are the same in the input as in the chain it is collapsed in.
-Both land on exactly the matrix obtained by collapsing the region
-directly; the point of going piecewise is that the intermediate chains are
-worth looking at, not the final one.
+nested components, innermost first, before it.  It refuses a component
+that nothing enters, which has no entry to anchor on, and ``model_check``
+filters those out.  Its whole order is found on the input chain's support,
+the digraph of its nonzero entries, which on a valid chain is its positive
+digraph (``Dtmc.succ`` for the components, ``Dtmc.pred`` for each
+interior), reading matrix entries only to tell a self-loop: a collapse
+rewrites only its members' rows and adds transitions only onto states its
+members already fed, so every component's edges and interior are the same
+in the input as in the chain it is collapsed in.  Both land on exactly the
+matrix obtained by collapsing the region directly; the point of going
+piecewise is that the intermediate chains are worth looking at, not the
+final one.
 
 Components are listed in the reverse of the order Tarjan's search emits
 them: each precedes the components it can reach, and components that cannot
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .abstraction import interior_zero, path_abstract, path_abstract_seq
+from .abstraction import interior_zero, path_abstract_seq
 from .core import Dtmc, DtmcError, StateSet, state_set
 
 
@@ -148,19 +150,3 @@ def abstract_recursive(d: Dtmc, subset: Iterable[int]) -> Dtmc:
         todo += nontrivial_sccs(d, interior)
     return path_abstract_seq(d, reversed(outermost_first))
 
-
-def abstract_nested(d: Dtmc, subset: Iterable[int]) -> Dtmc:
-    """Collapse each nontrivial component of ``subset`` by
-    :func:`abstract_recursive`, in order, then ``subset``.
-
-    A component that nothing enters cannot anchor a collapse and is
-    skipped; the final collapse of ``subset`` wipes it out regardless.
-    """
-    s1 = state_set(subset, d.n)
-    current = d
-    for comp in nontrivial_sccs(d, s1):
-        try:
-            current = abstract_recursive(current, comp)
-        except NonTerminatingInteriorError:
-            continue
-    return path_abstract(current, s1)

@@ -5,11 +5,13 @@ from __future__ import annotations
 
 import os
 import random
+import sys
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
 import pathfold
+from pathfold import abstraction
 from pathfold.abstraction import FrontierSets, LinearSystem, SingularMatrixError
 from pathfold.core import (
     Dtmc,
@@ -21,6 +23,7 @@ from pathfold.core import (
     ValidationReport,
     state_set,
 )
+from pathfold.scc import nontrivial_sccs
 from pathfold.words import path_prob
 
 ME_TRANSITIONS = {
@@ -479,3 +482,55 @@ def most_probable_path_by_prob(
             elif t in inner:
                 stack.append((path + (t,), prob * p))
     return best[1], best[0]
+
+
+def collapse_sequence(d: Dtmc, method: str) -> list[frozenset[int]]:
+    """The subsets ``model_check(d, goals, method)`` collapses, in order.
+
+    ``direct`` collapses the non-absorbing states ``k`` at once, ``scc``
+    each nontrivial component of ``k`` and then ``k``, and ``recursive``
+    the nested order of each component something enters, then ``k``.  The
+    components and their order come from :func:`nontrivial_sccs`, all of
+    them on ``d``; which states a component's outside feeds is read through
+    ``prob()``.
+    """
+    k = frozenset(s for s in d.states() if d.prob(s, s) < 1)
+    if method == "direct":
+        return [k]
+    comps = nontrivial_sccs(d, k)
+    if method == "scc":
+        return [*comps, k]
+    entered = [c for c in comps if _interior_by_prob(d, c) != c]
+    return [*(c for comp in entered for c in _nested_order(d, comp)), k]
+
+
+def _interior_by_prob(d: Dtmc, subset) -> frozenset[int]:
+    outside = [r for r in d.states() if r not in subset]
+    return frozenset(
+        s for s in subset if s != d.init and all(d.prob(r, s) == 0 for r in outside)
+    )
+
+
+def _nested_order(d: Dtmc, comp) -> list[frozenset[int]]:
+    """Innermost first: the order of each component of ``comp``'s interior,
+    in turn, then ``comp``."""
+    inner = nontrivial_sccs(d, _interior_by_prob(d, comp))
+    return [*(c for sub in inner for c in _nested_order(d, sub)), comp]
+
+
+def record_collapses(monkeypatch) -> list[frozenset[int]]:
+    """Bind a recording ``path_abstract`` under every name the collapse is
+    bound under in the package, as the bench tracer wraps it; return the
+    list each call appends its subset to."""
+    original = abstraction.path_abstract
+    subsets = []
+
+    def recording(d, subset):
+        subsets.append(frozenset(subset))
+        return original(d, subset)
+
+    package = [m for name, m in sys.modules.items() if name.split(".")[0] == "pathfold"]
+    for module in package:
+        if vars(module).get("path_abstract") is original:
+            monkeypatch.setattr(module, "path_abstract", recording)
+    return subsets

@@ -7,8 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import S1, random_dtmc, random_substochastic
-from pathfold import abstraction
+from helpers import S1, random_dtmc, random_substochastic, record_collapses
 from pathfold.abstraction import path_abstract
 from pathfold.cli import (
     _build_parser,
@@ -312,18 +311,7 @@ def test_refine_command_concretize(capsys):
 
 
 def test_refine_concretize_collapses_once_per_step(capsys, monkeypatch):
-    original = abstraction.path_abstract
-    subsets = []
-
-    def counting(d, subset):
-        subsets.append(sorted(subset))
-        return original(d, subset)
-
-    # every name the collapse is bound under, as the bench tracer wraps it
-    package = [m for name, m in sys.modules.items() if name.split(".")[0] == "pathfold"]
-    for module in package:
-        if vars(module).get("path_abstract") is original:
-            monkeypatch.setattr(module, "path_abstract", counting)
+    subsets = record_collapses(monkeypatch)
     code, out, _ = run(
         capsys,
         "refine",
@@ -338,7 +326,7 @@ def test_refine_concretize_collapses_once_per_step(capsys, monkeypatch):
     )
     assert code == 0
     assert out == "OK best=5/9 concrete=1,2,3,4,7\n"
-    assert subsets == [[2, 5, 6], [3, 4], [1, 2, 3, 4, 5, 6]]
+    assert subsets == [{2, 5, 6}, {3, 4}, {1, 2, 3, 4, 5, 6}]
 
 
 def test_main_reuses_one_parser_without_leaking_flags(capsys):

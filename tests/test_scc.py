@@ -14,13 +14,18 @@ from helpers import (
     FIG_MINUS_K,
     FIG_MINUS_S1,
     K,
+    MODELS,
     PACKAGE_ENV,
     S1,
     as_fractions,
+    collapse_sequence,
     entry_map,
+    me_dtmc,
     nested_cycle,
     random_dtmc,
+    random_goal_model,
     random_subset,
+    record_collapses,
 )
 from pathfold.abstraction import path_abstract, path_abstract_seq
 from pathfold.checker import model_check
@@ -245,3 +250,33 @@ def test_recursive_equals_direct_on_nested_cycle_families(d):
     assert model_check(d, goals, "recursive") == model_check(d, goals, "direct")
     outer = frozenset(range(2, d.n - 1))
     assert abstract_recursive(d, outer) == path_abstract(d, outer)
+
+
+def _sequence_cases():
+    yield "worked example", me_dtmc(), [7, 8]
+    yield "unentered cycle", _unentered_cycle(), [4]
+    # the unentered cycle 4-5 leaks into the entered cycle 2-3 and precedes it
+    yield "unentered before entered", Dtmc.from_transitions(6, 1, {
+        (1, 2): "1/2", (1, 6): "1/2", (2, 3): 1, (3, 2): "1/2", (3, 6): "1/2",
+        (4, 5): 1, (5, 4): "1/2", (5, 2): "1/2", (6, 6): 1,
+    }), [6]
+    for n in range(1, 7):
+        yield f"nested cycle {n}", nested_cycle(n), [n + 2, n + 3]
+    rng = random.Random(11)
+    for i in range(30):
+        d, goals = random_goal_model(rng, rng.randint(3, 9))
+        yield f"goal model {i}", d, goals
+    for kind, make in MODELS.items():
+        for i in range(15):
+            d = make(rng, rng.randint(2, 7))
+            goals = [g for g in d.states() if g != d.init and d.prob(g, g) == 1]
+            yield f"{kind} {i}", d, goals
+
+
+@pytest.mark.parametrize("method", ["direct", "scc", "recursive"])
+def test_each_method_collapses_its_reference_sequence(method, monkeypatch):
+    subsets = record_collapses(monkeypatch)
+    for name, d, goals in _sequence_cases():
+        subsets.clear()
+        model_check(d, goals, method)
+        assert subsets == collapse_sequence(d, method), name
