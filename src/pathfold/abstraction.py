@@ -10,13 +10,14 @@ initial state are preserved exactly; the state space itself never changes
 (dropping states that become isolated is a separate, explicit step).
 
 The solve eliminates over Python ints on sparse rows: each row is scaled
-to integers once, combined with pivot rows by cross-multiplication and
-kept divided by the gcd of its entries, so no rational is normalised
-until the answer is read off and zero entries cost nothing.  Eliminating
-one unknown is itself a collapse of one state, and the collapse is exact
-along any sequence of subsets, so the elimination order is picked for
-cost alone: sparsest column first, and the rows the collapse reads last,
-so that back substitution touches only those.
+to integers once, combined with pivot rows by cross-multiplication in
+place and kept divided by the gcd of its entries, so no rational is
+normalised until the answer is read off and zero entries cost nothing.
+The pass that combines two rows also updates which rows hold each
+column.  Eliminating one unknown is itself a collapse of one state, and
+the collapse is exact along any sequence of subsets, so the elimination
+order is picked for cost alone: sparsest column first, and the rows the
+collapse reads last, so that back substitution touches only those.
 """
 
 from __future__ import annotations
@@ -116,7 +117,7 @@ def linear_system(d: Dtmc, fr: FrontierSets) -> LinearSystem:
     unknowns = sorted(fr.reaching)
     col = {r: i for i, r in enumerate(unknowns)}
     exit_col = {t: j for j, t in enumerate(sorted(fr.exits))}
-    zero = Fraction(0)
+    zero, one = Fraction(0), Fraction(1)
     a, b = [], []
     for i, r in enumerate(unknowns):
         row = d.rows[r - 1]
@@ -125,9 +126,12 @@ def linear_system(d: Dtmc, fr: FrontierSets) -> LinearSystem:
         for t in d.succ[r - 1]:
             if t in col:
                 arow[col[t]] = -row[t - 1]
-            if t in exit_col:
+            elif t in exit_col:
                 brow[exit_col[t]] = row[t - 1]
-        arow[i] = 1 - row[r - 1]
+        # Built directly: ``1 - p`` takes Fraction's generic operator
+        # fallback, about twice as slow, and (q - p, q) is in lowest terms.
+        p = row[r - 1]
+        arow[i] = Fraction(p.denominator - p.numerator, p.denominator) if p else one
         a.append(arow)
         b.append(tuple(brow))
     return LinearSystem(tuple(a), tuple(b))
@@ -148,15 +152,17 @@ def solve_linear(
     live column with the fewest live rows, read off a lazy heap of column
     counts, and its shortest live row becomes the pivot row.  Columns of
     unknowns outside ``rows`` all go first.  Every other live row with a
-    nonzero entry in the pivot column is replaced by the integer
-    combination that cancels it and then divided by the gcd of its
-    entries, so it stays the smallest integer multiple of the exact
-    eliminated row; rows already zero there are never touched.  A column
-    no live row reaches means the matrix is singular, whatever ``rows``
-    asks for.  Back substitution then runs over the pivots of the wanted
-    unknowns only: they come last, so they refer to nothing else.  It works
-    on integer numerators with one denominator per row; ``Fraction``s are
-    built only for the returned entries.
+    nonzero entry in the pivot column is rewritten in place by
+    :func:`_cancel` into the integer combination that cancels it, divided
+    by the gcd of its entries, so it stays the smallest integer multiple of
+    the exact eliminated row; rows already zero there are never touched.
+    That same pass updates the per-column sets of live rows the heap's
+    counts are read from.  A column no live row reaches means the matrix
+    is singular, whatever ``rows`` asks for.  Back substitution then runs
+    over the pivots of the wanted unknowns only: they come last, so they
+    refer to nothing else.  It works on integer numerators with one
+    denominator per row; ``Fraction``s are built only for the returned
+    entries.
     """
     m = len(system.a)
     wanted = range(m) if rows is None else tuple(rows)
@@ -166,10 +172,12 @@ def solve_linear(
     live: dict[int, dict[int, int]] = {}
     holders: list[set[int]] = [set() for _ in range(m)]
     for r, (arow, brow) in enumerate(zip(system.a, system.b)):
-        entries = [(c, x) for c, x in (*arow.items(), *enumerate(brow, m)) if x]
+        entries = [*arow.items(), *((c, x) for c, x in enumerate(brow, m) if x)]
         scale = lcm(*(x.denominator for _, x in entries))
-        live[r] = {c: x.numerator * scale // x.denominator for c, x in entries}
-        for c, _ in entries:
+        live[r] = row = {
+            c: x.numerator * (scale // x.denominator) for c, x in entries if x
+        }
+        for c in row:
             if c < m:
                 holders[c].add(r)
     heap = [(c in tail, len(holders[c]), c) for c in range(m)]
@@ -190,16 +198,7 @@ def solve_linear(
         for c in touched:
             holders[c].discard(p)
         for r in list(holders[col]):
-            row = live[r]
-            live[r] = new = _cancel(row, piv, col)
-            for c in row.keys() - new.keys():
-                if c < m:
-                    holders[c].discard(r)
-                    touched.add(c)
-            for c in new.keys() - row.keys():
-                if c < m:
-                    holders[c].add(r)
-                    touched.add(c)
+            _cancel(live[r], r, piv, col, holders, touched)
         for c in touched:
             if not done[c]:
                 heapq.heappush(heap, (c in tail, len(holders[c]), c))
@@ -207,21 +206,50 @@ def solve_linear(
     return tuple(solved[i] for i in wanted)
 
 
-def _cancel(row: dict[int, int], piv: dict[int, int], col: int) -> dict[int, int]:
-    """``row`` minus the multiple of ``piv`` that zeroes column ``col``,
-    cross-multiplied to stay integral and divided by its content."""
+def _cancel(
+    row: dict[int, int],
+    r: int,
+    piv: dict[int, int],
+    col: int,
+    holders: list[set[int]],
+    touched: set[int],
+) -> None:
+    """Rewrite live row ``r`` in place as itself minus the multiple of
+    ``piv`` that zeroes column ``col``, cross-multiplied to stay integral
+    and divided by its content; scaling and division are skipped when the
+    factor is 1.
+
+    The same pass over ``piv`` keeps the column bookkeeping: an unknown's
+    column that gains an entry gets ``r`` added to its ``holders`` set, one
+    that loses its entry gets ``r`` dropped, and either way the column
+    joins ``touched``.  Columns from ``len(holders)`` on are ``b``'s.
+    """
+    m = len(holders)
     p, f = piv[col], row[col]
     g = gcd(p, f)
     p, f = p // g, f // g
-    out = {c: p * x for c, x in row.items()}
+    if p != 1:
+        for c in row:
+            row[c] *= p
     for c, x in piv.items():
-        y = out.get(c, 0) - f * x
-        if y:
-            out[c] = y
+        if c in row:
+            y = row[c] - f * x
+            if y:
+                row[c] = y
+                continue
+            del row[c]
+            if c < m:
+                holders[c].discard(r)
+                touched.add(c)
         else:
-            del out[c]
-    g = gcd(*out.values())
-    return out if g == 1 else {c: x // g for c, x in out.items()}
+            row[c] = -f * x
+            if c < m:
+                holders[c].add(r)
+                touched.add(c)
+    g = gcd(*row.values())
+    if g > 1:
+        for c in row:
+            row[c] //= g
 
 
 def _back_substitute(

@@ -200,4 +200,9 @@ def validate(d: Dtmc) -> ValidationReport:
 
 def non_absorbing(d: Dtmc) -> StateSet:
     """States that keep less than their full mass on the diagonal."""
-    return frozenset(s for s in d.states() if d.prob(s, s) < 1)
+    # Denominators are positive, so p < 1 exactly when numerator < denominator.
+    return frozenset(
+        s
+        for s, row in enumerate(d.rows, 1)
+        if (p := row[s - 1]).numerator < p.denominator
+    )

@@ -2,6 +2,7 @@
 Gauss-Jordan oracle, on raw linear systems, for chosen solution rows and
 through the collapse, plus a bound on the solver's fill-in."""
 
+import copy
 import random
 from fractions import Fraction
 from unittest import mock
@@ -14,12 +15,15 @@ from helpers import (
     MODELS,
     entry_map,
     gauss_jordan_solve,
+    random_goal_model,
     random_subset,
     system_from_dense,
 )
 from pathfold import abstraction
 from pathfold.abstraction import (
     SingularMatrixError,
+    frontier,
+    linear_system,
     path_abstract,
     solve_linear,
 )
@@ -131,6 +135,30 @@ def test_arrow_system_fills_nothing_in(rows):
     with mock.patch.object(abstraction, "_cancel", wraps=abstraction._cancel) as cancel:
         got = solve_linear(system) if rows is None else solve_linear(system, rows)
     assert cancel.call_count <= m
+    assert got == gauss_jordan_solve(system, rows)
+
+
+EXIT_SYSTEM_MODELS = {
+    **MODELS,
+    "goal": lambda rng, n: random_goal_model(rng, max(n, 3))[0],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(EXIT_SYSTEM_MODELS))
+@settings(max_examples=150)
+@given(seed=st.integers(0, 2**32), n=st.integers(1, 12))
+def test_solve_linear_on_exit_systems_equals_gauss_jordan(kind, seed, n):
+    # The systems a collapse really hands over, for random wanted rows.  The
+    # solver rewrites its rows in place, so it must leave the caller's
+    # system as it found it.
+    rng = random.Random(seed)
+    d = EXIT_SYSTEM_MODELS[kind](rng, n)
+    system = linear_system(d, frontier(d, random_subset(rng, d.states())))
+    m = len(system.a)
+    rows = rng.sample(range(m), rng.randint(0, m))
+    before = copy.deepcopy(system)
+    got = solve_linear(system, rows)
+    assert system == before
     assert got == gauss_jordan_solve(system, rows)
 
 

@@ -1,0 +1,282 @@
+"""Exactness gate: this checkout's CLI against the CLI at a git revision.
+
+    python tools/compare_cli.py --against HEAD~1
+
+Extracts ``src/`` at the revision with ``git archive`` into a temporary
+directory, loads that ``pathfold`` and this checkout's side by side in one
+process (each call swaps its modules into ``sys.modules``) and calls both
+``pathfold.cli.main``s on the same seeded list of calls:
+
+* small models of the benchmark families (``bench/families.py``, imported
+  read-only), with the calls the benchmark makes on them;
+* the random models and nested cycles of ``tests/helpers.py``;
+* the worked 8-state example;
+* invalid inputs and calls that exit 1 and 2.
+
+Every model gets ``check`` with each method, with and without ``--json``,
+``abstract`` with and without ``--prune``, and ``refine`` with and without
+``--concretize``.  Standard output, standard error and the exit code of each
+call must be identical.  Prints the number of calls and every difference,
+and exits 1 on any difference.  Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import importlib
+import io
+import random
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+for _dir in ("src", "tests", "bench"):
+    if str(ROOT / _dir) not in sys.path:
+        sys.path.append(str(ROOT / _dir))
+
+import families  # noqa: E402
+import helpers  # noqa: E402
+
+FILE = families.FILE
+METHODS = ("direct", "scc", "recursive")
+SEED = 12
+
+
+@dataclass(frozen=True)
+class Call:
+    """One CLI call: ``argv`` names the model file as :data:`FILE`; a call
+    whose ``text`` is None gets a path where no file exists."""
+
+    model: str
+    text: str | None
+    argv: tuple[str, ...]
+
+
+def _text(n: int, init: int, entries) -> str:
+    lines = [f"dtmc {n} {init}"]
+    lines += [f"{s} {t} {p.numerator}/{p.denominator}" for s, t, p in entries]
+    return "\n".join(lines) + "\n"
+
+
+def _csv(states) -> str:
+    return ",".join(map(str, sorted(states)))
+
+
+def _model_calls(rng: random.Random, name: str, d) -> list[Call]:
+    """``check`` on the absorbing states, ``abstract`` on two random subsets
+    and ``refine`` along a random sequence of non-absorbing subsets, each
+    with and without its flag."""
+    text = _text(d.n, d.init, sorted(d.transitions()))
+    absorbing = [s for s in d.states() if d.prob(s, s) == 1]
+    moving = [s for s in d.states() if s not in absorbing]
+    argvs = []
+    goals = _csv(absorbing or rng.sample(list(d.states()), 1))
+    for method in METHODS:
+        argvs += [
+            ("check", FILE, "--goal", goals, "--method", method),
+            ("check", FILE, "--goal", goals, "--method", method, "--json"),
+        ]
+    for _ in range(2):
+        subset = _csv(helpers.random_subset(rng, d.states(), allow_empty=False))
+        abstract = ("abstract", FILE, "--set", subset)
+        argvs += [abstract, (*abstract, "--prune")]
+    target = str(rng.choice(absorbing or list(d.states())))
+    steps = [helpers.random_subset(rng, moving) for _ in range(rng.randint(1, 3))]
+    seq = ";".join(_csv(s) for s in steps if s) or _csv(moving) or "1"
+    for threshold in ("0", f"1/{rng.randint(2, 40)}"):
+        refine = ("refine", FILE, "--target", target, "--threshold", threshold)
+        argvs += [(*refine, "--seq", seq), (*refine, "--seq", seq, "--concretize")]
+    return [Call(name, text, argv) for argv in argvs]
+
+
+def _family_cases(seed: int) -> list:
+    cases = [families.random_chain(seed, i, n) for i, n in enumerate(range(6, 15))]
+    cases += [families.birth_death(seed, i, n) for i, n in enumerate(range(3, 13, 2))]
+    cases += [families.ladder(seed, i, b) for i, b in enumerate((1, 1, 2, 2, 3))]
+    cases += [families.wide_chain(seed, i, n, 4) for i, n in enumerate((30, 36, 42))]
+    return cases
+
+
+def _helper_models(rng: random.Random) -> list[tuple[str, object]]:
+    models = []
+    for kind, make in sorted(helpers.MODELS.items()):
+        models += [(f"{kind}-{i}", make(rng, rng.randint(2, 9))) for i in range(6)]
+    for i in range(24):
+        d, _ = helpers.random_goal_model(rng, rng.randint(3, 10))
+        models.append((f"goal-{i}", d))
+    models += [(f"nested-{n}", helpers.nested_cycle(n)) for n in range(1, 9)]
+    return models
+
+
+def _worked_example() -> list[Call]:
+    text = (ROOT / "tests" / "data" / "example8.dtmc").read_text()
+    argvs = []
+    for method in METHODS:
+        argvs += [
+            ("check", FILE, "--goal", "7,8", "--method", method),
+            ("check", FILE, "--goal", "7,8", "--method", method, "--json"),
+        ]
+    for subset in (helpers.S0, helpers.S1, helpers.S2, helpers.K, {1, 2, 3, 4}):
+        abstract = ("abstract", FILE, "--set", _csv(subset))
+        argvs += [abstract, (*abstract, "--prune")]
+    for threshold in ("4/9", "1/10", "1"):
+        for seq in ("1,2,3,4", "2,5,6;3,4", "5,6;2,5,6;1,2,3,4,5,6"):
+            refine = ("refine", FILE, "--target", "7", "--threshold", threshold)
+            argvs += [(*refine, "--seq", seq), (*refine, "--seq", seq, "--concretize")]
+    return [Call("example8", text, argv) for argv in argvs]
+
+
+def _invalid() -> list[Call]:
+    """Inputs rejected with exit 1 (unreadable or invalid model) or 2 (bad
+    arguments for a valid model)."""
+    check = ("check", FILE, "--goal", "2")
+    bad_models = {
+        "no-header": "1 2 1/1\n",
+        "bad-header": "dtmc two 1\n",
+        "empty": "",
+        "bad-prob": "dtmc 2 1\n1 2 0.5\n",
+        "prob-above-one": "dtmc 2 1\n1 2 3/2\n",
+        "zero-denominator": "dtmc 2 1\n1 2 1/0\n",
+        "row-sum-above-one": "dtmc 2 1\n1 2 2/3\n1 1 2/3\n2 2 1\n",
+        "pair-out-of-range": "dtmc 2 1\n1 3 1\n",
+        "duplicate": "dtmc 2 1\n1 2 1/2\n1 2 1/2\n2 2 1\n",
+        "init-out-of-range": "dtmc 2 3\n1 2 1\n2 2 1\n",
+        "short-line": "dtmc 2 1\n1 2\n",
+    }
+    calls = [Call(name, text, check) for name, text in bad_models.items()]
+    calls.append(Call("missing-file", None, check))
+    valid = "dtmc 3 1\n1 2 1/2\n1 3 1/2\n2 2 1\n3 1 1/3\n3 2 2/3\n"
+    bad_argvs = [
+        ("check", FILE, "--goal", "3"),
+        ("check", FILE, "--goal", "1,2"),
+        ("check", FILE, "--goal", "4"),
+        ("check", FILE, "--goal", ""),
+        ("check", FILE, "--goal", "x"),
+        ("check", FILE, "--goal", "2", "--method", "fast"),
+        ("abstract", FILE, "--set", "0,1"),
+        ("abstract", FILE),
+        ("refine", FILE, "--target", "3", "--threshold", "1/2", "--seq", "1"),
+        ("refine", FILE, "--target", "2", "--threshold", "3/2", "--seq", "1"),
+        ("refine", FILE, "--target", "2", "--threshold", "1/2", "--seq", "1,2"),
+        ("refine", FILE, "--target", "2", "--threshold", "1/2", "--seq", ";"),
+        ("refine", FILE, "--target", "2", "--threshold", "1/2", "--seq", "4"),
+        ("solve", FILE),
+    ]
+    calls += [Call("bad-args", valid, argv) for argv in bad_argvs]
+    return calls
+
+
+def build_calls() -> list[Call]:
+    """The seeded call list, the same on every run."""
+    rng = random.Random(SEED)
+    calls = []
+    for case in _family_cases(SEED):
+        d = helpers.Dtmc.from_transitions(case.n, case.init, case.entries)
+        calls += [Call(case.name, case.text(), call) for call in case.calls]
+        calls += _model_calls(rng, case.name, d)
+    for name, d in _helper_models(rng):
+        calls += _model_calls(rng, name, d)
+    return calls + _worked_example() + _invalid()
+
+
+def _ours(name: str) -> bool:
+    return name == "pathfold" or name.startswith("pathfold.")
+
+
+@contextlib.contextmanager
+def _modules(modules: dict):
+    """Run the body with ``modules`` as the only ``pathfold`` in
+    ``sys.modules``; whatever was there before is put back afterwards."""
+    saved = {k: v for k, v in sys.modules.items() if _ours(k)}
+    for k in saved:
+        del sys.modules[k]
+    sys.modules.update(modules)
+    try:
+        yield
+    finally:
+        for k in [k for k in sys.modules if _ours(k)]:
+            del sys.modules[k]
+        sys.modules.update(saved)
+
+
+def load(src: Path) -> dict:
+    """Import a fresh ``pathfold.cli`` from the source tree ``src`` and
+    return its ``pathfold`` modules, leaving ``sys.modules`` as it was."""
+    with _modules({}):
+        sys.path.insert(0, str(src))
+        try:
+            importlib.invalidate_caches()
+            importlib.import_module("pathfold.cli")
+            return {k: v for k, v in sys.modules.items() if _ours(k)}
+        finally:
+            sys.path.remove(str(src))
+
+
+def run(modules: dict, argv: list[str]) -> tuple[object, str, str]:
+    """Exit code, stdout and stderr of one ``main(argv)`` of ``modules``."""
+    out, err = io.StringIO(), io.StringIO()
+    with (
+        _modules(modules),
+        contextlib.redirect_stdout(out),
+        contextlib.redirect_stderr(err),
+    ):
+        try:
+            code = modules["pathfold.cli"].main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception as exc:  # a crash is an outcome to compare too
+            code = f"raised {type(exc).__name__}: {exc}"
+    return code, out.getvalue(), err.getvalue()
+
+
+def compare(old_src: Path, new_src: Path, calls: list[Call]) -> list[str]:
+    """One line per call whose exit code, stdout or stderr differ."""
+    old, new = load(old_src), load(new_src)
+    diffs = []
+    with tempfile.TemporaryDirectory() as tmp:
+        paths: dict[str, str] = {}
+        for i, call in enumerate(calls):
+            if call.text is None:
+                path = str(Path(tmp) / "missing.dtmc")
+            else:
+                path = paths.get(call.text)
+                if path is None:
+                    path = paths[call.text] = str(Path(tmp) / f"m{len(paths)}.dtmc")
+                    Path(path).write_text(call.text)
+            argv = [path if a == FILE else a for a in call.argv]
+            a, b = run(old, argv), run(new, argv)
+            for part, x, y in zip(("exit code", "stdout", "stderr"), a, b):
+                if x != y:
+                    shown = " ".join(call.argv)
+                    diffs.append(f"{i} {call.model}: {shown}: {part} {x!r} != {y!r}")
+    return diffs
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--against", required=True, help="git revision to compare")
+    args = parser.parse_args(argv)
+    calls = build_calls()
+    with tempfile.TemporaryDirectory() as tmp:
+        archive = subprocess.run(
+            ["git", "archive", args.against, "src"],
+            cwd=ROOT, check=True, stdout=subprocess.PIPE,
+        ).stdout
+        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
+        diffs = compare(Path(tmp) / "src", ROOT / "src", calls)
+    for line in diffs:
+        print(line)
+    inputs = len({c.text for c in calls})
+    print(
+        f"{len(calls)} calls on {inputs} inputs against {args.against}:"
+        f" {len(diffs)} differences"
+    )
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
