@@ -325,7 +325,7 @@ def path_abstract(d: Dtmc, subset: Iterable[int]) -> Dtmc:
         # both runs are ascending, so the sort only merges them
         kept = [r for r in pred[t - 1] if r not in s1]
         pred[t - 1] = tuple(sorted(kept + fed[t])) if t in fed else tuple(kept)
-    return Dtmc._with_graph(d.init, tuple(rows), tuple(succ), tuple(pred))
+    return Dtmc(d.init, tuple(rows), tuple(succ), tuple(pred))
 
 
 def path_abstract_seq(d: Dtmc, subsets: Iterable[Iterable[int]]) -> Dtmc:
@@ -355,4 +355,4 @@ def prune_isolated(d: Dtmc) -> tuple[Dtmc, dict[int, int]]:
     rows = tuple(tuple(d.rows[s - 1][c] for c in cols) for s in keep)
     succ = tuple(tuple([mapping[t] for t in d.succ[s - 1]]) for s in keep)
     pred = tuple(tuple([mapping[r] for r in d.pred[t - 1]]) for t in keep)
-    return Dtmc._with_graph(mapping[d.init], rows, succ, pred), mapping
+    return Dtmc(mapping[d.init], rows, succ, pred), mapping

@@ -9,9 +9,8 @@ deliberately produces them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
 StateSet = frozenset[int]
@@ -58,32 +57,43 @@ class ValidationReport:
 class Dtmc:
     """A (sub)stochastic matrix over states ``1..n`` plus an initial state.
 
-    Built directly, ``Dtmc(init, rows)`` takes ``rows`` as they are: a tuple
-    of row tuples whose entries are all :class:`Fraction`.  Row tuples are
-    immutable and may be shared between chains, so a collapse reuses the
-    rows it leaves alone.  :meth:`from_rows` and :meth:`from_transitions`
-    accept any numbers and normalise them to that form.
+    ``rows`` is a tuple of row tuples whose entries are all
+    :class:`Fraction`.  Row tuples are immutable and may be shared between
+    chains, so a collapse reuses the rows it leaves alone.
 
     Beside the rows every chain carries its support, the digraph of its
     nonzero entries: ``succ[s - 1]`` lists the targets of state ``s`` with
     nonzero probability and ``pred[t - 1]`` the sources of state ``t``,
     both ascending.  On a chain :func:`validate` accepts no entry is
-    negative, so the support is exactly the positive digraph.  A directly
-    built chain derives ``succ`` from ``rows`` on first use, in one pass
-    over all n² entries; :meth:`from_transitions` builds it from its
-    mapping instead.  ``pred`` is derived from ``succ`` without reading
-    ``rows``.  A collapse or a prune hands both on, rewriting only the lists
-    its rewritten rows touch.  :func:`validate` and the graph layers walk
-    these lists and read ``rows`` only at nonzero entries.  Equality,
-    hashing and ``repr`` look at ``init`` and ``rows`` alone.
+    negative, so the support is exactly the positive digraph.
+    :func:`validate` and the graph layers walk these lists and read
+    ``rows`` only at nonzero entries.
+
+    ``Dtmc(init, rows, succ, pred)`` takes all three as given, and they
+    must agree: :func:`validate` does not cross-check them.
+    :meth:`from_rows` and :meth:`from_transitions` are the normalising
+    builders: they accept any numbers and build the lists from the entries.
+    A collapse or a prune hands the lists on, rewriting only those its
+    rewritten rows touch.  Equality, hashing and ``repr`` look at ``init``
+    and ``rows`` alone.
     """
 
     init: int
     rows: tuple[tuple[Fraction, ...], ...]
+    succ: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
+    pred: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
 
     @classmethod
     def from_rows(cls, init: int, rows: Iterable[Iterable]) -> "Dtmc":
-        return cls(init, tuple(tuple(Fraction(x) for x in row) for row in rows))
+        table = [list(row) for row in rows]
+        n = len(table)
+        if any(len(row) != n for row in table):
+            raise ValidationError("matrix is not square")
+        return cls.from_transitions(
+            n,
+            init,
+            {(s, t): p for s, row in enumerate(table, 1) for t, p in enumerate(row, 1)},
+        )
 
     @classmethod
     def from_transitions(
@@ -92,50 +102,24 @@ class Dtmc:
         zero = Fraction(0)
         rows = [[zero] * n for _ in range(n)]
         succ: list[list[int]] = [[] for _ in range(n)]
+        pred: list[list[int]] = [[] for _ in range(n)]
         for (s, t), p in transitions.items():
             if not (1 <= s <= n and 1 <= t <= n):
                 raise ValueError(f"state pair ({s},{t}) out of range 1..{n}")
             rows[s - 1][t - 1] = p = Fraction(p)  # type: ignore[arg-type]
             if p.numerator:
                 succ[s - 1].append(t)
+                pred[t - 1].append(s)
         for targets in succ:
             targets.sort()
-        return cls._with_graph(init, tuple(map(tuple, rows)), tuple(map(tuple, succ)))
-
-    @classmethod
-    def _with_graph(
-        cls,
-        init: int,
-        rows: tuple[tuple[Fraction, ...], ...],
-        succ: tuple[tuple[int, ...], ...],
-        pred: tuple[tuple[int, ...], ...] | None = None,
-    ) -> "Dtmc":
-        """A chain whose successor lists, and maybe predecessor lists, the
-        caller already holds; missing ``pred`` is derived from ``succ``."""
-        d = cls(init, rows)
-        d.__dict__["succ"] = succ
-        if pred is not None:
-            d.__dict__["pred"] = pred
-        return d
-
-    @cached_property
-    def succ(self) -> tuple[tuple[int, ...], ...]:
-        """Per state, its targets with nonzero probability, ascending."""
-        # A Fraction is zero exactly when its numerator is, and reading that
-        # is far cheaper than a Fraction comparison.
-        return tuple(
-            tuple([t for t, p in enumerate(row, 1) if p.numerator])
-            for row in self.rows
+        for sources in pred:
+            sources.sort()
+        return cls(
+            init,
+            tuple(map(tuple, rows)),
+            tuple(map(tuple, succ)),
+            tuple(map(tuple, pred)),
         )
-
-    @cached_property
-    def pred(self) -> tuple[tuple[int, ...], ...]:
-        """Per state, its sources with nonzero probability, ascending."""
-        pred: list[list[int]] = [[] for _ in self.rows]
-        for s, targets in enumerate(self.succ, 1):
-            for t in targets:
-                pred[t - 1].append(s)
-        return tuple(map(tuple, pred))
 
     @property
     def n(self) -> int:

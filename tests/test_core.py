@@ -57,9 +57,28 @@ def test_validate_rejects_init_out_of_range():
 
 
 def test_validate_rejects_ragged_matrix():
-    d = Dtmc(1, ((Fraction(1), Fraction(0)), (Fraction(1),)))
+    rows = ((Fraction(1), Fraction(0)), (Fraction(1),))
+    d = Dtmc(1, rows, ((1,), (1,)), ((1, 2), ()))
     with pytest.raises(ValidationError):
         validate(d)
+
+
+@pytest.mark.parametrize("rows", [[[1, 0], [1]], [[1, 0], [0, 1, 0]]])
+def test_from_rows_rejects_ragged_matrix(rows):
+    # a short row must not be padded with zeros into a valid chain
+    with pytest.raises(ValidationError, match="matrix is not square"):
+        validate(Dtmc.from_rows(1, rows))
+
+
+def test_equality_hash_and_repr_ignore_the_support_lists():
+    rows = [["1/2", "1/2", 0], [0, 1, 0], ["1/3", 0, "2/3"]]
+    d = Dtmc.from_rows(1, rows)
+    table = {(s, t): p for s, row in enumerate(rows, 1) for t, p in enumerate(row, 1)}
+    same = [Dtmc.from_transitions(3, 1, table), path_abstract(d, ())]
+    raw = Dtmc(d.init, d.rows, (), ())
+    for other in same + [raw]:
+        assert other == d and hash(other) == hash(d)
+    assert "succ" not in repr(d) and "pred" not in repr(d)
 
 
 def test_validate_accepts_all_published_collapses(me):

@@ -142,6 +142,10 @@ def test_every_chain_carries_its_positive_digraph(kind, seed, n):
     # explicit zeros in the mapping must not enter the lists
     table = {(s, t): d.prob(s, t) for s in d.states() for t in d.states()}
     assert _graph_matches(Dtmc.from_transitions(d.n, d.init, table))
+    # inserted out of order, the lists must still come out ascending
+    pairs = list(table.items())
+    random.Random(seed).shuffle(pairs)
+    assert _graph_matches(Dtmc.from_transitions(d.n, d.init, dict(pairs)))
     zeros = [(s, t) for s in d.states() for t in d.states() if d.prob(s, t) == 0]
     parsed = parse(serialize(d) + "".join(f"{s} {t} 0\n" for s, t in zeros[:1]))
     assert parsed == d and _graph_matches(parsed)
@@ -152,7 +156,7 @@ def test_every_chain_carries_its_positive_digraph(kind, seed, n):
             collapsed = path_abstract_seq(chain, subsets[:k])
             assert _graph_matches(collapsed)
         pruned = prune_isolated(collapsed)[0]
-        # the prune hands its lists on instead of leaving them to be derived
+        # the prune hands its lists on, renumbered
         assert {"succ", "pred"} <= vars(pruned).keys()
         assert _graph_matches(pruned)
 
@@ -199,13 +203,13 @@ def _counting_chain(d: Dtmc) -> tuple[Dtmc, list[int]]:
             reads[0] += len(self)
             return tuple.__iter__(self)
 
-    return Dtmc(d.init, tuple(Row(row) for row in d.rows)), reads
+    return Dtmc(d.init, tuple(Row(row) for row in d.rows), d.succ, d.pred), reads
 
 
 def test_graph_layers_read_entries_linear_in_the_transitions():
     chain, reads = _counting_chain(nested_cycle(60))
-    # a directly built chain reads every row once, on first use, to find
-    # its transitions; what is bounded below is each layer's own reads
+    # the chain is built with the lists of ``d``, so reading them costs no
+    # row read; what is bounded below is each layer's own reads
     nnz = chain.transition_count()
     n = chain.n
     layers = {
