@@ -11,7 +11,7 @@ from typing import Iterable, Sequence
 from .abstraction import interior_zero, path_abstract
 from .core import Dtmc, DtmcError, StateSet, non_absorbing, state_set
 from .scc import abstract_recursive, abstract_via_sccs, nontrivial_sccs
-from .words import Word, path_prob, splice
+from .words import Word, path_prob
 
 METHODS = ("direct", "scc", "recursive")
 
@@ -98,6 +98,22 @@ def model_check(
     return ReachabilityResult(per_goal, sum(per_goal.values(), Fraction(0)))
 
 
+class _Entry:
+    """A path with its probability ``num / den``; the more probable entry is
+    the smaller, and of two equally probable ones the lexicographically
+    smaller path.  Denominators are positive, so cross-multiplying compares
+    exactly."""
+
+    __slots__ = ("num", "den", "path")
+
+    def __init__(self, num: int, den: int, path: Word):
+        self.num, self.den, self.path = num, den, path
+
+    def __lt__(self, other: "_Entry") -> bool:
+        mine, theirs = self.num * other.den, other.num * self.den
+        return mine > theirs or (mine == theirs and self.path < other.path)
+
+
 def most_probable_path(
     d: Dtmc, src: int, dst: int, within: Iterable[int] | None = None
 ) -> tuple[Word, Fraction]:
@@ -105,31 +121,39 @@ def most_probable_path(
 
     Best-first search: transition probabilities never exceed one, so
     extending a path never improves it and the first settlement of the
-    destination is optimal.  Ties resolve to the lexicographically
-    smallest path.  With ``within`` given, every state after ``src`` other
-    than ``dst`` must lie in ``within``.  Returns ``((), 0)`` if the
-    destination is unreachable.
+    destination is optimal.  Each heap entry carries its path's probability
+    as an unreduced integer pair, the products of the numerators and of the
+    denominators along the path; entries compare by cross-multiplication,
+    so ties are exact, and they resolve to the lexicographically smallest
+    path.  The one :class:`Fraction` built is the returned probability.
+    With ``within`` given, every state after ``src`` other than ``dst``
+    must lie in ``within``.  Returns ``((), 0)`` if the destination is
+    unreachable.
     """
     if not (1 <= src <= d.n and 1 <= dst <= d.n):
         raise ValueError(f"state pair ({src},{dst}) out of range 1..{d.n}")
     if src == dst:
         return (src,), Fraction(1)
     allowed = None if within is None else {*state_set(within, d.n), dst}
-    succ = d.succ
-    heap: list[tuple[Fraction, Word]] = [(Fraction(-1), (src,))]
+    rows, succ = d.rows, d.succ
+    heap = [_Entry(1, 1, (src,))]
     settled: set[int] = set()
     while heap:
-        neg, path = heapq.heappop(heap)
+        entry = heapq.heappop(heap)
+        path = entry.path
         v = path[-1]
         if v in settled:
             continue
         settled.add(v)
         if v == dst:
-            return path, -neg
-        row = d.rows[v - 1]
+            return path, Fraction(entry.num, entry.den)
+        num, den, row = entry.num, entry.den, rows[v - 1]
         for t in succ[v - 1]:
             if t not in settled and (allowed is None or t in allowed):
-                heapq.heappush(heap, (neg * row[t - 1], path + (t,)))
+                p = row[t - 1]
+                heapq.heappush(
+                    heap, _Entry(num * p.numerator, den * p.denominator, path + (t,))
+                )
     return (), Fraction(0)
 
 
@@ -210,18 +234,15 @@ def concretize_witness(
 
 
 def _expand_once(m: Dtmc, fs: StateSet, word: Word) -> Word:
-    if len(word) == 1:
-        return word
-    pieces = []
+    out = list(word[:1])
     for a, b in pairwise(word):
         if a in fs:
-            route, _ = most_probable_path(m, a, b, within=fs)
-            if not route:
+            piece, _ = most_probable_path(m, a, b, within=fs)
+            if not piece:
                 raise NotAPathError(f"no route from {a} to {b} through {sorted(fs)}")
-            pieces.append(route)
         else:
-            pieces.append((a, b))
-    out = pieces[0]
-    for piece in pieces[1:]:
-        out = splice(out, piece)
-    return out
+            piece = (a, b)
+        if piece[0] != out[-1]:
+            raise ValueError(f"{piece} does not start where the word so far ends")
+        out += piece[1:]
+    return tuple(out)

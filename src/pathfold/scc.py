@@ -7,19 +7,22 @@ nested components, innermost first, before it.  It refuses a component
 that nothing enters, which has no entry to anchor on, and ``model_check``
 filters those out.  Its whole order is found on the input chain's support,
 the digraph of its nonzero entries, which on a valid chain is its positive
-digraph (``Dtmc.succ`` for the components, ``Dtmc.pred`` for each
-interior), reading matrix entries only to tell a self-loop: a collapse
-rewrites only its members' rows and adds transitions only onto states its
-members already fed, so every component's edges and interior are the same
-in the input as in the chain it is collapsed in.  Both land on exactly the
+digraph (``Dtmc.succ`` for the components and self-loops, ``Dtmc.pred``
+for each interior), reading no matrix entry: a collapse rewrites only its
+members' rows and adds transitions only onto states its members already
+fed, so every component's edges and interior are the same in the input as
+in the chain it is collapsed in.  Both land on exactly the
 matrix obtained by collapsing the region directly; the point of going
 piecewise is that the intermediate chains are worth looking at, not the
 final one.
 
-Components are listed in the reverse of the order Tarjan's search emits
-them: each precedes the components it can reach, and components that cannot
-reach each other keep the search's order.  Since a collapse is exact along
-any subset sequence, that order changes no result.
+Components come from one iterative Tarjan search (Tarjan, SIAM J. Comput.
+1972) over the members' ``Dtmc.succ`` lists, roots ascending, and are listed
+in the reverse of the order it emits them: each precedes the components it
+can reach, and components that cannot reach each other come in the reverse
+of the order the search finished them.  Since a collapse is exact along any
+subset sequence, that order changes no result, but it is kept stable so
+that the intermediate chains are too.
 """
 
 from __future__ import annotations
@@ -42,61 +45,54 @@ class NonTerminatingInteriorError(DtmcError):
 def sccs(d: Dtmc, subset: Iterable[int]) -> list[StateSet]:
     """Strongly connected components of the support (on a valid chain, the
     positive digraph) restricted to ``subset``, ordered so every component
-    precedes the components it can reach; components that cannot reach
-    each other come in whatever order the search met them.  Reads
-    ``d.succ`` of the members only.
+    precedes the components it can reach.
+
+    One iterative Tarjan search with roots in ascending order.  Each frame
+    walks its state's ``d.succ`` list with an iterator and skips targets
+    outside ``subset``, so only the members' lists are read.  The search
+    emits a component only after every component it reaches, so the
+    emission order reversed is topological; components that cannot reach
+    each other come in the reverse of the order the search finished them.
     """
     members = state_set(subset, d.n)
-    vertices = sorted(members)
-    succ = {v: [t for t in d.succ[v - 1] if t in members] for v in vertices}
-    # Tarjan's search emits a component only after every component it
-    # reaches, so the reversed emission order is topological.
-    return _tarjan(vertices, succ)[::-1]
-
-
-def _tarjan(vertices: list[int], succ: dict[int, list[int]]) -> list[StateSet]:
+    succ = d.succ
     index: dict[int, int] = {}
     low: dict[int, int] = {}
     on_stack: set[int] = set()
     stack: list[int] = []
-    counter = 0
     comps: list[StateSet] = []
-    for root in vertices:
+    for root in sorted(members):
         if root in index:
             continue
-        work: list[tuple[int, int]] = [(root, 0)]
+        index[root] = low[root] = len(index)
+        work = [(root, iter(succ[root - 1]), len(stack))]
+        stack.append(root)
+        on_stack.add(root)
         while work:
-            v, i = work.pop()
-            if i == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack.add(v)
-            descended = False
-            for j in range(i, len(succ[v])):
-                w = succ[v][j]
+            v, targets, at = work[-1]
+            for w in targets:
+                if w not in members:
+                    continue
                 if w not in index:
-                    work.append((v, j + 1))
-                    work.append((w, 0))
-                    descended = True
+                    index[w] = low[w] = len(index)
+                    work.append((w, iter(succ[w - 1]), len(stack)))
+                    stack.append(w)
+                    on_stack.add(w)
                     break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if descended:
-                continue
-            if low[v] == index[v]:
-                comp = set()
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.add(w)
-                    if w == v:
-                        break
-                comps.append(frozenset(comp))
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-    return comps
+                if w in on_stack and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if low[v] == index[v]:
+                    # v roots a component: it and all above it on the stack
+                    comp = frozenset(stack[at:])
+                    del stack[at:]
+                    on_stack -= comp
+                    comps.append(comp)
+                elif low[v] < low[work[-1][0]]:
+                    # a search root always roots a component, so v has a parent
+                    low[work[-1][0]] = low[v]
+    return comps[::-1]
 
 
 def nontrivial_sccs(d: Dtmc, subset: Iterable[int]) -> list[StateSet]:
@@ -105,7 +101,7 @@ def nontrivial_sccs(d: Dtmc, subset: Iterable[int]) -> list[StateSet]:
     for comp in sccs(d, subset):
         if len(comp) == 1:
             (s,) = comp
-            if d.prob(s, s) == 0:
+            if s not in d.succ[s - 1]:
                 continue
         out.append(comp)
     return out

@@ -3,6 +3,7 @@ random model generators, and brute-force oracles kept deliberately naive."""
 
 from __future__ import annotations
 
+import heapq
 import os
 import random
 import sys
@@ -482,6 +483,83 @@ def most_probable_path_by_prob(
             elif t in inner:
                 stack.append((path + (t,), prob * p))
     return best[1], best[0]
+
+
+def most_probable_path_fraction_keyed(
+    d: Dtmc, src: int, dst: int, within=None
+) -> tuple[tuple[int, ...], Fraction]:
+    """The best-first search of :func:`pathfold.checker.most_probable_path`
+    keyed on the negated path probability as a :class:`Fraction`, built
+    and compared per heap entry: the reference the integer-keyed search is
+    checked against on chains too large for the exhaustive one."""
+    if src == dst:
+        return (src,), Fraction(1)
+    allowed = None if within is None else {*state_set(within, d.n), dst}
+    heap: list[tuple[Fraction, tuple[int, ...]]] = [(Fraction(-1), (src,))]
+    settled: set[int] = set()
+    while heap:
+        neg, path = heapq.heappop(heap)
+        v = path[-1]
+        if v in settled:
+            continue
+        settled.add(v)
+        if v == dst:
+            return path, -neg
+        for t in d.succ[v - 1]:
+            if t not in settled and (allowed is None or t in allowed):
+                heapq.heappush(heap, (neg * d.prob(v, t), path + (t,)))
+    return (), Fraction(0)
+
+
+def sccs_over_filtered_lists(d: Dtmc, subset) -> list[frozenset[int]]:
+    """Tarjan's search over a dict of each member's successor list filtered
+    to ``subset``, roots ascending, its emission order reversed: the
+    reference for the order :func:`pathfold.scc.sccs` lists components in."""
+    members = state_set(subset, d.n)
+    vertices = sorted(members)
+    succ = {v: [t for t in d.succ[v - 1] if t in members] for v in vertices}
+    index: dict[int, int] = {}
+    low: dict[int, int] = {}
+    on_stack: set[int] = set()
+    stack: list[int] = []
+    counter = 0
+    comps: list[frozenset[int]] = []
+    for root in vertices:
+        if root in index:
+            continue
+        work: list[tuple[int, int]] = [(root, 0)]
+        while work:
+            v, i = work.pop()
+            if i == 0:
+                index[v] = low[v] = counter
+                counter += 1
+                stack.append(v)
+                on_stack.add(v)
+            descended = False
+            for j in range(i, len(succ[v])):
+                w = succ[v][j]
+                if w not in index:
+                    work.append((v, j + 1))
+                    work.append((w, 0))
+                    descended = True
+                    break
+                if w in on_stack:
+                    low[v] = min(low[v], index[w])
+            if descended:
+                continue
+            if low[v] == index[v]:
+                comp = set()
+                while True:
+                    w = stack.pop()
+                    on_stack.discard(w)
+                    comp.add(w)
+                    if w == v:
+                        break
+                comps.append(frozenset(comp))
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[v])
+    return comps[::-1]
 
 
 def collapse_sequence(d: Dtmc, method: str) -> list[frozenset[int]]:

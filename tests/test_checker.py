@@ -1,14 +1,20 @@
 """Reachability queries, refinement runs and witness handling."""
 
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     K,
     S1,
     S2,
+    most_probable_path_by_prob,
+    most_probable_path_fraction_keyed,
     random_goal_model,
     random_subset,
 )
@@ -26,6 +32,9 @@ from pathfold.checker import (
 )
 from pathfold.core import Dtmc, non_absorbing
 from pathfold.words import local_reach_prob_bounded, minus_seq, path_prob
+
+sys.path.append(str(Path(__file__).resolve().parents[1] / "bench"))
+import families  # noqa: E402
 
 REFINEMENT_SET = frozenset({1, 2, 3, 4})
 
@@ -159,6 +168,74 @@ def test_best_path_dominates_random_paths(me):
             walk.append(rng.choice(nxt))
         if walk[-1] == 7:
             assert path_prob(me, tuple(walk)) <= best
+
+
+@st.composite
+def halves_and_quarters(draw):
+    """Chains of at most 7 states whose every entry is 1/2 or 1/4, so that
+    many paths tie."""
+    n = draw(st.integers(2, 7))
+    transitions = {}
+    for s in range(1, n + 1):
+        room = Fraction(1)
+        targets = st.lists(st.integers(1, n), min_size=1, max_size=4, unique=True)
+        for t in draw(targets):
+            p = draw(st.sampled_from([Fraction(1, 4), Fraction(1, 2)]))
+            if p <= room:
+                transitions[s, t] = p
+                room -= p
+    return Dtmc.from_transitions(n, 1, transitions)
+
+
+@settings(max_examples=200)
+@given(d=halves_and_quarters(), within=st.sets(st.integers(1, 7)))
+def test_best_path_breaks_exact_ties_like_the_exhaustive_search(d, within):
+    within = {s for s in within if s <= d.n}
+    for src in d.states():
+        for dst in d.states():
+            assert most_probable_path(d, src, dst) == most_probable_path_by_prob(
+                d, src, dst
+            )
+            assert most_probable_path(
+                d, src, dst, within=within
+            ) == most_probable_path_by_prob(d, src, dst, within=within)
+
+
+def _agrees_with_the_fraction_keyed_search(rng, d, pairs):
+    for src, dst in pairs:
+        for within in (None, random_subset(rng, d.states())):
+            assert most_probable_path(
+                d, src, dst, within=within
+            ) == most_probable_path_fraction_keyed(d, src, dst, within=within), (
+                src,
+                dst,
+                within,
+            )
+
+
+def test_best_path_equals_the_fraction_keyed_search_on_ladder_steps():
+    case = families.ladder(1, 0, 12)
+    d = Dtmc.from_transitions(case.n, case.init, case.entries)
+    goal = case.params["goal"]
+    size = families.LADDER_BLOCK
+    blocks = [range(size * b + 1, size * b + size + 1) for b in range(12)]
+    trace = refine(d, goal, 1, blocks).trace
+    assert len(trace) == 12
+    rng = random.Random(113)
+    for chain in (d, *(step.chain for step in trace)):
+        pairs = [(d.init, goal)]
+        pairs += [(rng.randint(1, d.n), rng.randint(1, d.n)) for _ in range(30)]
+        _agrees_with_the_fraction_keyed_search(rng, chain, pairs)
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2**32), n=st.integers(3, 30))
+def test_best_path_equals_the_fraction_keyed_search_on_goal_models(seed, n):
+    rng = random.Random(seed)
+    d, goals = random_goal_model(rng, n)
+    pairs = [(d.init, g) for g in goals]
+    pairs += [(rng.randint(1, n), rng.randint(1, n)) for _ in range(10)]
+    _agrees_with_the_fraction_keyed_search(rng, d, pairs)
 
 
 # --- refinement --------------------------------------------------------------

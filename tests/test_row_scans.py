@@ -156,9 +156,12 @@ def test_every_chain_carries_its_positive_digraph(kind, seed, n):
             collapsed = path_abstract_seq(chain, subsets[:k])
             assert _graph_matches(collapsed)
         pruned = prune_isolated(collapsed)[0]
-        # the prune hands its lists on, renumbered
-        assert {"succ", "pred"} <= vars(pruned).keys()
+        # the prune hands its lists on, renumbered, and serializing the
+        # pruned chain reads its entries through them alone
         assert _graph_matches(pruned)
+        counted, reads = _counting_chain(pruned)
+        assert serialize(counted) == serialize(pruned)
+        assert reads[0] == pruned.transition_count()
 
 
 @pytest.mark.parametrize("kind", sorted(MODELS))
@@ -227,9 +230,11 @@ def test_graph_layers_read_entries_linear_in_the_transitions():
             reads[0] = 0
             layer(frozenset(s1))
             assert reads[0] <= 2 * nnz, (name, s1, reads[0], nnz)
-        # the pruned chain carries its lists, so serializing it reads no
-        # dense row to find them
+        # the pruned chain carries its lists, so serializing it reads
+        # exactly its nonzero entries and no dense row to find them
         pruned, _ = prune_isolated(path_abstract(chain, s1))
-        assert {"succ", "pred"} <= vars(pruned).keys()
         assert pruned.succ == succ_by_prob(pruned)
         assert pruned.pred == pred_by_prob(pruned)
+        counted, reads = _counting_chain(pruned)
+        serialize(counted)
+        assert reads[0] == pruned.transition_count(), (s1, reads[0])

@@ -26,6 +26,7 @@ from helpers import (
     random_goal_model,
     random_subset,
     record_collapses,
+    sccs_over_filtered_lists,
 )
 from pathfold.abstraction import path_abstract, path_abstract_seq
 from pathfold.checker import model_check
@@ -101,6 +102,34 @@ def test_components_order_is_ancestors_first():
         position = {s: i for i, comp in enumerate(comps) for s in comp}
         for s, t, _ in d.transitions():
             assert position[s] <= position[t]
+
+
+def test_components_that_cannot_reach_each_other_keep_their_order():
+    # the search from 1 finishes {2, 3} before {4, 5}, and 6 is a root of
+    # its own: the reversed emission lists {6} first and {4, 5} before
+    # {2, 3}, although neither pair can reach the other
+    half = Fraction(1, 2)
+    d = Dtmc.from_transitions(6, 1, {
+        (1, 2): half, (1, 4): half, (2, 3): 1, (3, 2): 1,
+        (4, 5): 1, (5, 4): 1, (6, 6): 1,
+    })
+    expected = [{6}, {1}, {4, 5}, {2, 3}]
+    assert sccs(d, d.states()) == [frozenset(c) for c in expected]
+    assert nontrivial_sccs(d, d.states()) == [
+        frozenset(c) for c in ({6}, {4, 5}, {2, 3})
+    ]
+    assert sccs(d, {2, 3, 4, 5}) == [frozenset({4, 5}), frozenset({2, 3})]
+
+
+@pytest.mark.parametrize("kind", sorted(MODELS))
+@settings(max_examples=150)
+@given(seed=st.integers(0, 2**32), n=st.integers(1, 12))
+def test_components_come_in_the_order_of_the_filtered_list_search(kind, seed, n):
+    rng = random.Random(seed)
+    d = MODELS[kind](rng, n)
+    for chain in (d, path_abstract(d, random_subset(rng, d.states()))):
+        subset = random_subset(rng, d.states())
+        assert sccs(chain, subset) == sccs_over_filtered_lists(chain, subset)
 
 
 def test_nontrivial_drops_loopless_singletons(me):

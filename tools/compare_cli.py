@@ -9,6 +9,9 @@ process (each call swaps its modules into ``sys.modules``) and calls both
 
 * small models of the benchmark families (``bench/families.py``, imported
   read-only), with the calls the benchmark makes on them;
+* the 12-block ladder the benchmark's refine-ladder workload runs, with its
+  two calls;
+* lattices whose routes all tie, through ``refine --concretize``;
 * the random models and nested cycles of ``tests/helpers.py``;
 * the worked 8-state example;
 * invalid inputs and calls that exit 1 and 2.
@@ -112,6 +115,36 @@ def _helper_models(rng: random.Random) -> list[tuple[str, object]]:
     return models
 
 
+def _tied_routes(k: int) -> list[Call]:
+    """A k x k lattice walked right or down with probability 1/2 each, off
+    the far edges into an absorbing fail state: every route from the first
+    corner to the last has the same probability, so the witness searches
+    of ``refine --concretize`` are settled by their tie-break alone."""
+    n = k * k + 2
+    fail, goal = n - 1, n
+    transitions = {(fail, fail): 1, (goal, goal): 1, (k * k, goal): 1}
+    for i in range(k):
+        for j in range(k):
+            if (i, j) == (k - 1, k - 1):
+                continue
+            s = i * k + j + 1
+            transitions[s, s + k if i + 1 < k else fail] = "1/2"
+            transitions[s, s + 1 if j + 1 < k else fail] = "1/2"
+    d = helpers.Dtmc.from_transitions(n, 1, transitions)
+    text = _text(d.n, d.init, d.transitions())
+    rows = ";".join(_csv(range(i * k + 1, i * k + k + 1)) for i in range(k))
+    diagonals = ";".join(
+        _csv(i * k + j + 1 for i in range(k) for j in range(k) if i + j == t)
+        for t in range(2 * k - 1)
+    )
+    argvs = []
+    for seq in (rows, diagonals, _csv(range(1, k * k + 1))):
+        for threshold in ("0", "1"):
+            refine = ("refine", FILE, "--target", str(goal), "--threshold", threshold)
+            argvs.append((*refine, "--seq", seq, "--concretize"))
+    return [Call(f"tied-routes-{k}", text, argv) for argv in argvs]
+
+
 def _worked_example() -> list[Call]:
     text = (ROOT / "tests" / "data" / "example8.dtmc").read_text()
     argvs = []
@@ -180,6 +213,10 @@ def build_calls() -> list[Call]:
         calls += _model_calls(rng, case.name, d)
     for name, d in _helper_models(rng):
         calls += _model_calls(rng, name, d)
+    ladder = families.ladder(SEED, 5, 12)
+    calls += [Call(ladder.name, ladder.text(), call) for call in ladder.calls]
+    for k in (3, 5, 7):
+        calls += _tied_routes(k)
     return calls + _worked_example() + _invalid()
 
 
