@@ -8,9 +8,9 @@ from fractions import Fraction
 from itertools import pairwise
 from typing import Iterable, Sequence
 
-from .abstraction import interior_zero, path_abstract
+from .abstraction import path_abstract
 from .core import Dtmc, DtmcError, StateSet, non_absorbing, state_set
-from .scc import abstract_recursive, abstract_via_sccs, nontrivial_sccs
+from .scc import abstract_recursive, abstract_via_sccs
 from .words import Word, path_prob
 
 METHODS = ("direct", "scc", "recursive")
@@ -69,9 +69,10 @@ def model_check(
 ) -> ReachabilityResult:
     """Probability of eventually reaching each absorbing goal state.
 
-    Collapses all non-absorbing states at once (``direct``), component by
-    component (``scc``), or recursively inside the components something
-    enters (``recursive``; the last collapse clears the others anyway).
+    Each method is one call on the non-absorbing states ``k``: collapse
+    them at once (``direct``), component by component (``scc``, through
+    :func:`abstract_via_sccs`), or recursively inside the components
+    something enters (``recursive``, through :func:`abstract_recursive`).
     All three agree exactly, so the choice is a matter of what intermediate
     chains one wants to see.
     """
@@ -87,11 +88,7 @@ def model_check(
     elif method == "scc":
         final = abstract_via_sccs(d, k)
     elif method == "recursive":
-        final = d
-        for comp in nontrivial_sccs(d, k):
-            if interior_zero(d, comp) != comp:
-                final = abstract_recursive(final, comp)
-        final = path_abstract(final, k)
+        final = abstract_recursive(d, k)
     else:
         raise ValueError(f"unknown method {method!r}; pick one of {METHODS}")
     per_goal = {g: final.prob(d.init, g) for g in sorted(goal_set)}

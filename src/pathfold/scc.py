@@ -1,17 +1,18 @@
 """Strongly connected components and the two subset-choosing strategies.
 
 Both strategies are subset sequences handed to the one collapse fold,
-:func:`path_abstract_seq`.  The flat one is each nontrivial component of a
-region, then the region.  The recursive one puts each component's own
-nested components, innermost first, before it.  It refuses a component
-that nothing enters, which has no entry to anchor on, and ``model_check``
-filters those out.  Its whole order is found on the input chain's support,
-the digraph of its nonzero entries, which on a valid chain is its positive
-digraph (``Dtmc.succ`` for the components and self-loops, ``Dtmc.pred``
-for each interior), reading no matrix entry: a collapse rewrites only its
-members' rows and adds transitions only onto states its members already
-fed, so every component's edges and interior are the same in the input as
-in the chain it is collapsed in.  Both land on exactly the
+:func:`path_abstract_seq`, and both take any region.  The flat one is each
+nontrivial component of the region, then the region.  The recursive one
+puts before the region each component that something enters, each after
+its own nested components, innermost first; a component that nothing
+enters has no entry to anchor on and is left out, since the final collapse
+of the region clears it anyway.  Its whole order is found on the input
+chain's support, the digraph of its nonzero entries, which on a valid chain
+is its positive digraph (``Dtmc.succ`` for the components and self-loops,
+``Dtmc.pred`` for each interior), reading no matrix entry: a collapse
+rewrites only its members' rows and adds transitions only onto states its
+members already fed, so every component's edges and interior are the same
+in the input as in the chain it is collapsed in.  Both land on exactly the
 matrix obtained by collapsing the region directly; the point of going
 piecewise is that the intermediate chains are worth looking at, not the
 final one.
@@ -30,16 +31,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .abstraction import interior_zero, path_abstract_seq
-from .core import Dtmc, DtmcError, StateSet, state_set
-
-
-class NotStronglyConnectedError(DtmcError):
-    """The subset handed to the recursive collapse is not one component."""
-
-
-class NonTerminatingInteriorError(DtmcError):
-    """The subset equals its own interior, so descending into it would
-    rediscover the same component forever; it has no entry to anchor on."""
+from .core import Dtmc, StateSet, state_set
 
 
 def sccs(d: Dtmc, subset: Iterable[int]) -> list[StateSet]:
@@ -118,31 +110,23 @@ def abstract_via_sccs(d: Dtmc, subset: Iterable[int]) -> Dtmc:
 
 
 def abstract_recursive(d: Dtmc, subset: Iterable[int]) -> Dtmc:
-    """Collapse ``subset`` after the nontrivial components of its interior,
-    each in turn after those of its own interior, innermost first.
+    """Collapse each nontrivial component of ``subset`` that something
+    enters, each after the nontrivial components of its own interior,
+    innermost first, then ``subset``.
 
-    ``subset`` must be strongly connected and must have a proper interior:
-    a subset equal to its own interior has no entry state to anchor on.  A
-    nested component always has one, since the strongly connected component
-    around it feeds it.  The order is gathered with an explicit stack, so
-    nesting depth costs no recursion.
+    The recursive twin of :func:`abstract_via_sccs`, with the same result
+    as collapsing ``subset`` in one go.  A component equal to its own
+    interior has no entry state and is skipped; a nested component always
+    has one, since the component around it feeds it.  The order is gathered
+    with an explicit stack, so nesting depth costs no recursion.
     """
     s1 = state_set(subset, d.n)
-    if not s1:
-        raise ValueError("subset must be nonempty")
-    comps = sccs(d, s1)
-    if len(comps) != 1:
-        raise NotStronglyConnectedError(
-            f"{sorted(s1)} splits into {len(comps)} components"
-        )
     outermost_first = []
-    todo = [s1]
+    todo = nontrivial_sccs(d, s1)
     while todo:
         comp = todo.pop()
         interior = interior_zero(d, comp)
-        if interior == comp:
-            raise NonTerminatingInteriorError(f"{sorted(comp)} has no entry state")
-        outermost_first.append(comp)
-        todo += nontrivial_sccs(d, interior)
-    return path_abstract_seq(d, reversed(outermost_first))
-
+        if interior != comp:
+            outermost_first.append(comp)
+            todo += nontrivial_sccs(d, interior)
+    return path_abstract_seq(d, [*reversed(outermost_first), s1])

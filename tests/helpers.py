@@ -562,17 +562,21 @@ def sccs_over_filtered_lists(d: Dtmc, subset) -> list[frozenset[int]]:
     return comps[::-1]
 
 
-def collapse_sequence(d: Dtmc, method: str) -> list[frozenset[int]]:
-    """The subsets ``model_check(d, goals, method)`` collapses, in order.
+def collapse_sequence(d: Dtmc, method: str, region=None) -> list[frozenset[int]]:
+    """The subsets ``model_check(d, goals, method)`` collapses, in order;
+    with ``region`` given, the ones its strategy collapses on ``region``
+    instead of on the non-absorbing states ``k``.
 
-    ``direct`` collapses the non-absorbing states ``k`` at once, ``scc``
-    each nontrivial component of ``k`` and then ``k``, and ``recursive``
-    the nested order of each component something enters, then ``k``.  The
+    ``direct`` collapses the region at once, ``scc`` each nontrivial
+    component of the region and then the region, and ``recursive`` the
+    nested order of each component something enters, then the region.  The
     components and their order come from :func:`nontrivial_sccs`, all of
     them on ``d``; which states a component's outside feeds is read through
     ``prob()``.
     """
-    k = frozenset(s for s in d.states() if d.prob(s, s) < 1)
+    if region is None:
+        region = (s for s in d.states() if d.prob(s, s) < 1)
+    k = frozenset(region)
     if method == "direct":
         return [k]
     comps = nontrivial_sccs(d, k)

@@ -29,12 +29,10 @@ from helpers import (
     sccs_over_filtered_lists,
 )
 from pathfold.abstraction import path_abstract, path_abstract_seq
-from pathfold.checker import model_check
+from pathfold.checker import METHODS, model_check
 from pathfold.cli import serialize
 from pathfold.core import Dtmc, non_absorbing
 from pathfold.scc import (
-    NonTerminatingInteriorError,
-    NotStronglyConnectedError,
     abstract_recursive,
     abstract_via_sccs,
     nontrivial_sccs,
@@ -184,22 +182,19 @@ def test_recursive_collapse_equals_direct_on_components():
     while checked < 40:
         d = random_dtmc(rng, rng.randint(3, 8))
         for comp in nontrivial_sccs(d, non_absorbing(d)):
-            try:
-                got = abstract_recursive(d, comp)
-            except NonTerminatingInteriorError:
-                continue
-            assert got == path_abstract(d, comp)
+            assert abstract_recursive(d, comp) == path_abstract(d, comp)
             checked += 1
 
 
-def test_recursive_collapse_rejects_split_subset(me):
-    with pytest.raises(NotStronglyConnectedError):
-        abstract_recursive(me, {2, 3})
+def test_recursive_collapse_accepts_split_subset(me):
+    # {2, 3} splits into two loopless singletons, {2, ..., 6} into the
+    # components {2, 5, 6} and {3, 4}
+    for subset in ({2, 3}, K - {1}):
+        assert abstract_recursive(me, subset) == path_abstract(me, subset)
 
 
-def test_recursive_collapse_rejects_empty_subset(me):
-    with pytest.raises(ValueError):
-        abstract_recursive(me, frozenset())
+def test_recursive_collapse_accepts_empty_subset(me):
+    assert abstract_recursive(me, frozenset()) == path_abstract(me, frozenset())
 
 
 def _unentered_cycle() -> Dtmc:
@@ -209,9 +204,9 @@ def _unentered_cycle() -> Dtmc:
     )
 
 
-def test_recursive_collapse_rejects_unentered_cycle():
-    with pytest.raises(NonTerminatingInteriorError):
-        abstract_recursive(_unentered_cycle(), {2, 3})
+def test_recursive_collapse_accepts_unentered_cycle():
+    d = _unentered_cycle()
+    assert abstract_recursive(d, {2, 3}) == path_abstract(d, {2, 3})
 
 
 def test_recursive_collapse_accepts_entered_cycle():
@@ -302,10 +297,38 @@ def _sequence_cases():
             yield f"{kind} {i}", d, goals
 
 
-@pytest.mark.parametrize("method", ["direct", "scc", "recursive"])
+@pytest.mark.parametrize("method", METHODS)
 def test_each_method_collapses_its_reference_sequence(method, monkeypatch):
     subsets = record_collapses(monkeypatch)
     for name, d, goals in _sequence_cases():
         subsets.clear()
         model_check(d, goals, method)
         assert subsets == collapse_sequence(d, method), name
+
+
+def _with_unentered_cycle(d: Dtmc, leak_to: int) -> Dtmc:
+    """``d`` plus states ``n + 1`` and ``n + 2``, which swap with each other
+    and leak into ``leak_to``; nothing enters them."""
+    a, b = d.n + 1, d.n + 2
+    half = Fraction(1, 2)
+    transitions = {**entry_map(d), (a, b): 1, (b, a): half, (b, leak_to): half}
+    return Dtmc.from_transitions(d.n + 2, d.init, transitions)
+
+
+@pytest.mark.parametrize("kind", sorted(MODELS))
+@settings(max_examples=100)
+@given(seed=st.integers(0, 2**32), n=st.integers(1, 9), plant=st.booleans())
+def test_recursive_collapse_takes_any_subset(kind, seed, n, plant):
+    # empty subsets, subsets that split into several components and
+    # subsets holding a cycle that nothing enters all collapse in the
+    # reference order and land where one collapse does
+    rng = random.Random(seed)
+    d = MODELS[kind](rng, n)
+    if plant:
+        d = _with_unentered_cycle(d, rng.randint(1, d.n))
+    subset = random_subset(rng, d.states())
+    with pytest.MonkeyPatch.context() as patch:
+        subsets = record_collapses(patch)
+        got = abstract_recursive(d, subset)
+    assert subsets == collapse_sequence(d, "recursive", subset)
+    assert got == path_abstract(d, subset)
