@@ -6,7 +6,9 @@ that carry the exact probability mass of all routes through the subset
 checking, threshold refinement with witnesses, and a small text-format CLI
 on top of that single operation.  Everything beyond the names below lives
 in its module: ``pathfold.cli`` (``parse``, ``serialize``), ``pathfold.scc``
-(the component strategies) and ``pathfold.words`` (the word-level oracle).
+(the component strategies) and ``pathfold.checker`` (witness search and
+concretization).  The package holds only what the library and CLI use; the
+word-level oracle the exact route is tested against lives with the tests.
 """
 
 from .abstraction import path_abstract

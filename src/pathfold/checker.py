@@ -11,9 +11,10 @@ from typing import Iterable, Sequence
 from .abstraction import path_abstract
 from .core import Dtmc, DtmcError, StateSet, non_absorbing, state_set
 from .scc import abstract_recursive, abstract_via_sccs
-from .words import Word, path_prob
 
 METHODS = ("direct", "scc", "recursive")
+
+Word = tuple[int, ...]
 
 
 class GoalNotAbsorbingError(DtmcError):
@@ -219,11 +220,12 @@ def concretize_witness(
     """
     word = tuple(abstract_path)
     chains = [d, *(step.chain for step in steps)]
-    try:
-        positive = bool(word) and path_prob(chains[-1], word) > 0
-    except ValueError:
-        positive = False
-    if not positive:
+    last = chains[-1]
+    if not (
+        word
+        and all(1 <= s <= last.n for s in word)
+        and all(last.prob(a, b) != 0 for a, b in pairwise(word))
+    ):
         raise NotAPathError(f"{word} is not a path of the abstracted chain")
     for level in range(len(steps) - 1, -1, -1):
         word = _expand_once(chains[level], frozenset(steps[level].subset), word)

@@ -12,10 +12,12 @@ is its positive digraph (``Dtmc.succ`` for the components and self-loops,
 ``Dtmc.pred`` for each interior), reading no matrix entry: a collapse
 rewrites only its members' rows and adds transitions only onto states its
 members already fed, so every component's edges and interior are the same
-in the input as in the chain it is collapsed in.  Both land on exactly the
-matrix obtained by collapsing the region directly; the point of going
-piecewise is that the intermediate chains are worth looking at, not the
-final one.
+in the input as in the chain it is collapsed in.  Either sequence ends with
+the region only once: when the region is itself the last component listed,
+collapsing it a second time would change nothing, so it is not repeated.
+Both land on exactly the matrix obtained by collapsing the region directly;
+the point of going piecewise is that the intermediate chains are worth
+looking at, not the final one.
 
 Components come from one iterative Tarjan search (Tarjan, SIAM J. Comput.
 1972) over the members' ``Dtmc.succ`` lists, roots ascending, and are listed
@@ -99,20 +101,26 @@ def nontrivial_sccs(d: Dtmc, subset: Iterable[int]) -> list[StateSet]:
     return out
 
 
+def _then(seq: list[StateSet], region: StateSet) -> list[StateSet]:
+    """``seq`` followed by ``region``, unless ``seq`` already ends with it."""
+    return seq if seq and seq[-1] == region else [*seq, region]
+
+
 def abstract_via_sccs(d: Dtmc, subset: Iterable[int]) -> Dtmc:
-    """Collapse each nontrivial component of ``subset``, then ``subset``.
+    """Collapse each nontrivial component of ``subset``, then ``subset``
+    unless it was that last component.
 
     The result equals collapsing ``subset`` in one go; the staging exists
     so the intermediate chains can be inspected along the way.
     """
     s1 = state_set(subset, d.n)
-    return path_abstract_seq(d, [*nontrivial_sccs(d, s1), s1])
+    return path_abstract_seq(d, _then(nontrivial_sccs(d, s1), s1))
 
 
 def abstract_recursive(d: Dtmc, subset: Iterable[int]) -> Dtmc:
     """Collapse each nontrivial component of ``subset`` that something
     enters, each after the nontrivial components of its own interior,
-    innermost first, then ``subset``.
+    innermost first, then ``subset`` unless it was that last component.
 
     The recursive twin of :func:`abstract_via_sccs`, with the same result
     as collapsing ``subset`` in one go.  A component equal to its own
@@ -129,4 +137,4 @@ def abstract_recursive(d: Dtmc, subset: Iterable[int]) -> Dtmc:
         if interior != comp:
             outermost_first.append(comp)
             todo += nontrivial_sccs(d, interior)
-    return path_abstract_seq(d, [*reversed(outermost_first), s1])
+    return path_abstract_seq(d, _then(outermost_first[::-1], s1))

@@ -12,6 +12,7 @@ from itertools import product
 from pathlib import Path
 
 import pathfold
+from oracle import path_prob
 from pathfold import abstraction
 from pathfold.abstraction import FrontierSets, LinearSystem, SingularMatrixError
 from pathfold.core import (
@@ -25,7 +26,6 @@ from pathfold.core import (
     state_set,
 )
 from pathfold.scc import nontrivial_sccs
-from pathfold.words import path_prob
 
 ME_TRANSITIONS = {
     (1, 2): "5/6",
@@ -570,9 +570,10 @@ def collapse_sequence(d: Dtmc, method: str, region=None) -> list[frozenset[int]]
     ``direct`` collapses the region at once, ``scc`` each nontrivial
     component of the region and then the region, and ``recursive`` the
     nested order of each component something enters, then the region.  The
-    components and their order come from :func:`nontrivial_sccs`, all of
-    them on ``d``; which states a component's outside feeds is read through
-    ``prob()``.
+    region is not collapsed a second time when it was the last component.
+    The components and their order come from :func:`nontrivial_sccs`, all
+    of them on ``d``; which states a component's outside feeds is read
+    through ``prob()``.
     """
     if region is None:
         region = (s for s in d.states() if d.prob(s, s) < 1)
@@ -581,9 +582,11 @@ def collapse_sequence(d: Dtmc, method: str, region=None) -> list[frozenset[int]]
         return [k]
     comps = nontrivial_sccs(d, k)
     if method == "scc":
-        return [*comps, k]
-    entered = [c for c in comps if _interior_by_prob(d, c) != c]
-    return [*(c for comp in entered for c in _nested_order(d, comp)), k]
+        seq = comps
+    else:
+        entered = [c for c in comps if _interior_by_prob(d, c) != c]
+        seq = [c for comp in entered for c in _nested_order(d, comp)]
+    return seq if seq[-1:] == [k] else [*seq, k]
 
 
 def _interior_by_prob(d: Dtmc, subset) -> frozenset[int]:

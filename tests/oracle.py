@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import pairwise, product
 from typing import Iterable
 
-from .core import Dtmc, DtmcError, state_set
+from pathfold.core import Dtmc, DtmcError, state_set
 
 Word = tuple[int, ...]
 

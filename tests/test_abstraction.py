@@ -21,6 +21,7 @@ from helpers import (
     submatrix_power_entry,
     system_from_dense,
 )
+from oracle import local_reach_prob_bounded
 from pathfold.abstraction import (
     SingularMatrixError,
     frontier,
@@ -32,7 +33,6 @@ from pathfold.abstraction import (
     solve_linear,
 )
 from pathfold.core import Dtmc, validate
-from pathfold.words import local_reach_prob_bounded
 
 
 # --- frontier sets --------------------------------------------------------

@@ -31,18 +31,18 @@ from helpers import (
     row_sum,
     submatrix_power_entry,
 )
-from pathfold.abstraction import frontier, path_abstract, path_abstract_seq
-from pathfold.checker import model_check, refine
-from pathfold.cli import parse, serialize
-from pathfold.core import Dtmc, non_absorbing, validate
-from pathfold.scc import abstract_recursive
-from pathfold.words import (
+from oracle import (
     local_reach_prob_bounded,
     minus,
     minus_seq,
     preimage_min_bounded,
     splice,
 )
+from pathfold.abstraction import frontier, path_abstract, path_abstract_seq
+from pathfold.checker import model_check, refine
+from pathfold.cli import parse, serialize
+from pathfold.core import Dtmc, non_absorbing, validate
+from pathfold.scc import abstract_recursive
 
 EXAMPLE = Path(__file__).parent / "data" / "example8.dtmc"
 

@@ -18,6 +18,7 @@ from helpers import (
     random_goal_model,
     random_subset,
 )
+from oracle import local_reach_prob_bounded, minus_seq, path_prob
 from pathfold.abstraction import path_abstract
 from pathfold.checker import (
     METHODS,
@@ -31,7 +32,6 @@ from pathfold.checker import (
     refine,
 )
 from pathfold.core import Dtmc, non_absorbing
-from pathfold.words import local_reach_prob_bounded, minus_seq, path_prob
 
 sys.path.append(str(Path(__file__).resolve().parents[1] / "bench"))
 import families  # noqa: E402
@@ -336,6 +336,10 @@ def test_concretize_rejects_non_path(me):
         concretize_witness(me, (), ())
     with pytest.raises(NotAPathError):
         concretize_witness(me, (), (1, 99))
+    # a one-letter word has no step, so only the range check rejects these
+    for word in [(99,), (0,)]:
+        with pytest.raises(NotAPathError):
+            concretize_witness(me, (), word)
 
 
 def test_concretize_collapses_back_and_is_sound():

@@ -1,13 +1,21 @@
 """Text format parsing, canonical serialization, and the three commands."""
 
 import random
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from helpers import S1, random_dtmc, random_substochastic, record_collapses
+import pathfold
+from helpers import (
+    PACKAGE_ENV,
+    S1,
+    random_dtmc,
+    random_substochastic,
+    record_collapses,
+)
 from pathfold.abstraction import path_abstract
 from pathfold.cli import (
     _build_parser,
@@ -473,3 +481,29 @@ def test_refine_command_non_ascii_target_exits_2(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+# --- package -----------------------------------------------------------------
+
+_LOADED_MODULES = """
+import sys
+import pathfold.cli
+print(*sorted(name for name in sys.modules if name.split(".")[0] == "pathfold"))
+"""
+
+
+def test_cli_import_loads_every_module_of_the_package():
+    # the package holds only what the library and CLI need: a module that
+    # importing the CLI leaves unloaded serves something else
+    files = Path(pathfold.__file__).parent.glob("*.py")
+    stems = {f.stem for f in files} - {"__init__", "__main__"}
+    child = subprocess.run(
+        [sys.executable, "-c", _LOADED_MODULES],
+        capture_output=True,
+        check=True,
+        env=PACKAGE_ENV,
+        text=True,
+    )
+    assert child.stdout.split() == sorted(
+        ["pathfold", *(f"pathfold.{stem}" for stem in stems)]
+    )

@@ -4,7 +4,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import product
+from itertools import pairwise, product
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +28,7 @@ from helpers import (
     record_collapses,
     sccs_over_filtered_lists,
 )
+from oracle import path_prob
 from pathfold.abstraction import path_abstract, path_abstract_seq
 from pathfold.checker import METHODS, model_check
 from pathfold.cli import serialize
@@ -38,7 +39,6 @@ from pathfold.scc import (
     nontrivial_sccs,
     sccs,
 )
-from pathfold.words import path_prob
 
 
 def test_components_worked_example(me):
@@ -304,6 +304,16 @@ def test_each_method_collapses_its_reference_sequence(method, monkeypatch):
         subsets.clear()
         model_check(d, goals, method)
         assert subsets == collapse_sequence(d, method), name
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_no_method_collapses_a_subset_twice_in_a_row(method, monkeypatch):
+    # a second collapse of the subset just collapsed changes nothing
+    subsets = record_collapses(monkeypatch)
+    for name, d, goals in _sequence_cases():
+        subsets.clear()
+        model_check(d, goals, method)
+        assert all(a != b for a, b in pairwise(subsets)), name
 
 
 def _with_unentered_cycle(d: Dtmc, leak_to: int) -> Dtmc:

@@ -9,8 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import S1, random_substochastic, random_subset
-from pathfold.abstraction import path_abstract
-from pathfold.words import (
+from oracle import (
     EmptyWordError,
     finite_set_prob,
     is_prefix,
@@ -22,6 +21,7 @@ from pathfold.words import (
     preimage_min_bounded,
     splice,
 )
+from pathfold.abstraction import path_abstract
 
 LATIN = {c: i for i, c in enumerate("abcdefghijklmnopqrstuvwxyz", start=1)}
 
