@@ -9,10 +9,12 @@ route set's total probability.  Reachability probabilities from the
 initial state are preserved exactly; the state space itself never changes
 (dropping states that become isolated is a separate, explicit step).
 
-The solve eliminates over Python ints on sparse rows: each row is scaled
-to integers once, combined with pivot rows by cross-multiplication in
-place and kept divided by the gcd of its entries, so no rational is
-normalised until the answer is read off and zero entries cost nothing.
+Integers start where the exit system is assembled: each of its rows is
+scaled to integers once, from the chain's ``Fraction``s.  The solve then
+eliminates over Python ints on sparse rows: each row is combined with
+pivot rows by cross-multiplication in place and kept divided by the gcd
+of its entries, so no rational is built until the answer is read off and
+zero entries cost nothing.
 The pass that combines two rows also updates which rows hold each
 column.  Eliminating one unknown is itself a collapse of one state, and
 the collapse is exact along any sequence of subsets, so the elimination
@@ -62,10 +64,12 @@ class LinearSystem:
     """``a @ q = b`` over the reaching set: ``a`` is ``I - P`` there and ``b``
     holds the one-step exit probabilities, so row ``i`` of ``q`` is reaching
     state ``i``'s probability of leaving through each exit.  Each row of
-    ``a`` maps the columns of its nonzero entries to them; ``b`` is dense."""
+    ``[a | b]`` is held as integers, the exact row times a positive scale
+    of its own.  Each row of ``a`` maps columns to its diagonal entry and
+    its nonzero other entries; ``b`` is dense."""
 
-    a: tuple[dict[int, Fraction], ...]
-    b: tuple[tuple[Fraction, ...], ...]
+    a: tuple[dict[int, int], ...]
+    b: tuple[tuple[int, ...], ...]
 
 
 def frontier(d: Dtmc, subset: Iterable[int]) -> FrontierSets:
@@ -113,25 +117,26 @@ def linear_system(d: Dtmc, fr: FrontierSets) -> LinearSystem:
     """Assemble the exact exit system for one collapse step; rows follow
     ``sorted(fr.reaching)``, ``b``'s columns ``sorted(fr.exits)``.  Each
     row reads only the nonzero entries ``d.succ`` lists, plus its
-    diagonal."""
+    diagonal, and is scaled to integers by the lcm of the denominators of
+    the entries it keeps and of its diagonal: this is where the collapse
+    leaves ``Fraction``s behind."""
     unknowns = sorted(fr.reaching)
     col = {r: i for i, r in enumerate(unknowns)}
     exit_col = {t: j for j, t in enumerate(sorted(fr.exits))}
-    zero, one = Fraction(0), Fraction(1)
     a, b = [], []
     for i, r in enumerate(unknowns):
         row = d.rows[r - 1]
-        arow = {}
-        brow = [zero] * len(exit_col)
-        for t in d.succ[r - 1]:
-            if t in col:
-                arow[col[t]] = -row[t - 1]
-            elif t in exit_col:
-                brow[exit_col[t]] = row[t - 1]
-        # Built directly: ``1 - p`` takes Fraction's generic operator
-        # fallback, about twice as slow, and (q - p, q) is in lowest terms.
         p = row[r - 1]
-        arow[i] = Fraction(p.denominator - p.numerator, p.denominator) if p else one
+        kept = [(t, row[t - 1]) for t in d.succ[r - 1] if t in col or t in exit_col]
+        scale = lcm(p.denominator, *[x.denominator for _, x in kept])
+        arow, brow = {}, [0] * len(exit_col)
+        for t, x in kept:
+            w = x.numerator * (scale // x.denominator)
+            if t in col:
+                arow[col[t]] = -w
+            else:
+                brow[exit_col[t]] = w
+        arow[i] = (p.denominator - p.numerator) * (scale // p.denominator)
         a.append(arow)
         b.append(tuple(brow))
     return LinearSystem(tuple(a), tuple(b))
@@ -145,9 +150,9 @@ def solve_linear(
     Returns row ``i`` of ``q`` for each ``i`` in ``rows``, in that order, or
     every row in order when ``rows`` is omitted.
 
-    Each row of ``[a | b]``, ``b``'s columns numbered from ``m`` on, is
-    scaled to integers by the lcm of its denominators and kept as a
-    ``{column: int}`` map of its nonzero entries.
+    Integers in, ``Fraction``s out: each integer row of ``[a | b]``,
+    ``b``'s columns numbered from ``m`` on, is copied into a ``{column:
+    int}`` map of its nonzero entries.
     The pivot order is approximate Markowitz: the next pivot column is the
     live column with the fewest live rows, read off a lazy heap of column
     counts, and its shortest live row becomes the pivot row.  Columns of
@@ -172,11 +177,8 @@ def solve_linear(
     live: dict[int, dict[int, int]] = {}
     holders: list[set[int]] = [set() for _ in range(m)]
     for r, (arow, brow) in enumerate(zip(system.a, system.b)):
-        entries = [*arow.items(), *((c, x) for c, x in enumerate(brow, m) if x)]
-        scale = lcm(*(x.denominator for _, x in entries))
-        live[r] = row = {
-            c: x.numerator * (scale // x.denominator) for c, x in entries if x
-        }
+        live[r] = row = {c: x for c, x in arow.items() if x}
+        row.update((c, x) for c, x in enumerate(brow, m) if x)
         for c in row:
             if c < m:
                 holders[c].add(r)

@@ -190,19 +190,16 @@ def refine(
 
     trace: list[RefinementStep] = []
     current = d
+    if not sets:
+        path, prob = most_probable_path(d, d.init, target)
     for i, fs in enumerate(sets):
         current = path_abstract(current, fs)
         path, prob = most_probable_path(current, d.init, target)
         trace.append(RefinementStep(i, tuple(sorted(fs)), current, path or None, prob))
         if prob > threshold:
-            return RefinementReport(True, i, path, prob, tuple(trace))
-    if trace:
-        last = trace[-1]
-        return RefinementReport(
-            False, last.index, last.witness_path, last.witness_prob, tuple(trace)
-        )
-    path, prob = most_probable_path(d, d.init, target)
-    return RefinementReport(prob > threshold, None, path or None, prob, ())
+            break
+    index = trace[-1].index if trace else None
+    return RefinementReport(prob > threshold, index, path or None, prob, tuple(trace))
 
 
 def concretize_witness(
@@ -241,7 +238,5 @@ def _expand_once(m: Dtmc, fs: StateSet, word: Word) -> Word:
                 raise NotAPathError(f"no route from {a} to {b} through {sorted(fs)}")
         else:
             piece = (a, b)
-        if piece[0] != out[-1]:
-            raise ValueError(f"{piece} does not start where the word so far ends")
         out += piece[1:]
     return tuple(out)

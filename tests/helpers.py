@@ -9,6 +9,7 @@ import random
 import sys
 from fractions import Fraction
 from itertools import product
+from math import lcm
 from pathlib import Path
 
 import pathfold
@@ -318,12 +319,17 @@ def submatrix_power_entry(d: Dtmc, subset, power: int, s: int, r: int) -> Fracti
 
 
 def system_from_dense(a, b) -> LinearSystem:
-    """The :class:`LinearSystem` of dense ``a`` and ``b``: each row of ``a``
-    kept as the map of its nonzero entries, ``b`` as tuples."""
-    return LinearSystem(
-        tuple({c: x for c, x in enumerate(row) if x} for row in a),
-        tuple(map(tuple, b)),
-    )
+    """The :class:`LinearSystem` of dense rational ``a`` and ``b``: each row
+    of ``[a | b]`` scaled to integers by the lcm of its denominators, the
+    row of ``a`` kept as the map of its nonzero entries, ``b`` as tuples."""
+    a_rows, b_rows = [], []
+    for arow, brow in zip(a, b):
+        scale = lcm(*(x.denominator for x in [*arow, *brow]))
+        a_rows.append(
+            {c: x.numerator * (scale // x.denominator) for c, x in enumerate(arow) if x}
+        )
+        b_rows.append(tuple(x.numerator * (scale // x.denominator) for x in brow))
+    return LinearSystem(tuple(a_rows), tuple(b_rows))
 
 
 def gauss_jordan_solve(
@@ -335,8 +341,8 @@ def gauss_jordan_solve(
     solver, it returns only the solution rows listed in ``rows`` if given,
     but it always solves for all of them."""
     m = len(system.a)
-    a = [[row.get(c, Fraction(0)) for c in range(m)] for row in system.a]
-    b = [list(row) for row in system.b]
+    a = [[Fraction(row.get(c, 0)) for c in range(m)] for row in system.a]
+    b = [list(map(Fraction, row)) for row in system.b]
     for col in range(m):
         piv = next((r for r in range(col, m) if a[r][col] != 0), None)
         if piv is None:

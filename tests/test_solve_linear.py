@@ -1,7 +1,9 @@
 """Differential check of the sparse integer solver against the dense
 Gauss-Jordan oracle, on raw linear systems, for chosen solution rows and
-through the collapse, plus a bound on the solver's fill-in."""
+through the collapse, plus a bound on the solver's fill-in and a count of
+the ``Fraction``s the exit system and its solve build."""
 
+import contextlib
 import copy
 import random
 from fractions import Fraction
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     MODELS,
+    S1,
     entry_map,
     gauss_jordan_solve,
     random_goal_model,
@@ -21,6 +24,7 @@ from helpers import (
 )
 from pathfold import abstraction
 from pathfold.abstraction import (
+    LinearSystem,
     SingularMatrixError,
     frontier,
     linear_system,
@@ -160,6 +164,62 @@ def test_solve_linear_on_exit_systems_equals_gauss_jordan(kind, seed, n):
     got = solve_linear(system, rows)
     assert system == before
     assert got == gauss_jordan_solve(system, rows)
+
+
+@contextlib.contextmanager
+def _counting_fractions():
+    """Count the ``Fraction``s built inside the block: the calls of
+    ``Fraction.__new__`` and, from Python 3.12 on, of the
+    ``Fraction._from_coprime_ints`` its arithmetic builds results with."""
+    calls = [0]
+
+    def counting(build):
+        def counted(cls, *args, **kwargs):
+            calls[0] += 1
+            return build(cls, *args, **kwargs)
+
+        return counted
+
+    with contextlib.ExitStack() as patches:
+        patches.enter_context(
+            mock.patch.object(Fraction, "__new__", counting(Fraction.__new__))
+        )
+        if hasattr(Fraction, "_from_coprime_ints"):
+            build = counting(Fraction._from_coprime_ints.__func__)
+            patches.enter_context(
+                mock.patch.object(Fraction, "_from_coprime_ints", classmethod(build))
+            )
+        yield calls
+
+
+def test_worked_example_exit_system_is_integer_rows(me):
+    # reaching = [2, 5, 6], exits = [3, 8]; each row is scaled by the lcm
+    # of its kept entries' denominators and its diagonal's: 3, 1 and 4
+    fr = frontier(me, S1)
+    with _counting_fractions() as built:
+        system = linear_system(me, fr)
+    assert built[0] == 0
+    assert system == LinearSystem(
+        ({0: 3, 1: -1}, {1: 1, 2: -1}, {0: -1, 1: -2, 2: 4}),
+        ((2, 0), (0, 0), (0, 1)),
+    )
+
+
+@pytest.mark.parametrize("kind", sorted(EXIT_SYSTEM_MODELS))
+@settings(max_examples=100)
+@given(seed=st.integers(0, 2**32), n=st.integers(1, 12))
+def test_exit_system_builds_no_fraction_and_solve_one_per_entry(kind, seed, n):
+    rng = random.Random(seed)
+    d = EXIT_SYSTEM_MODELS[kind](rng, n)
+    fr = frontier(d, random_subset(rng, d.states()))
+    with _counting_fractions() as built:
+        system = linear_system(d, fr)
+    assert built[0] == 0
+    m = len(system.a)
+    rows = rng.sample(range(m), rng.randint(0, m))
+    with _counting_fractions() as built:
+        got = solve_linear(system, rows)
+    assert built[0] <= sum(map(len, got))
 
 
 @pytest.mark.parametrize("kind", sorted(MODELS))
