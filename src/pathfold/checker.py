@@ -44,16 +44,10 @@ class RefinementStep:
     """One collapse step: the subset used, the chain it produced, and the
     best single witness in that chain."""
 
-    index: int
     subset: tuple[int, ...]
     chain: Dtmc
     witness_path: Word | None
     witness_prob: Fraction
-
-    @property
-    def transition_count(self) -> int:
-        """How many transitions survived the collapse."""
-        return self.chain.transition_count()
 
 
 @dataclass(frozen=True)
@@ -163,7 +157,7 @@ def refine(
 ) -> RefinementReport:
     """Collapse along ``subsets``, checking after each step for a single
     path from the initial state to ``target`` whose probability exceeds
-    ``threshold``; stop at the first step exhibiting one.
+    ``threshold`` (from 0 to 1); stop at the first step exhibiting one.
 
     Witness probabilities only grow along the sequence (a collapsed path
     carries at least the mass of any single path it stands for), so a run
@@ -174,6 +168,8 @@ def refine(
     if d.prob(target, target) != 1:
         raise GoalNotAbsorbingError(f"target {target} is not absorbing")
     threshold = Fraction(threshold)
+    if not 0 <= threshold <= 1:
+        raise ValueError(f"threshold {threshold} is not in 0..1")
     k = non_absorbing(d)
     sets: list[StateSet] = []
     for i, subset in enumerate(subsets):
@@ -192,13 +188,13 @@ def refine(
     current = d
     if not sets:
         path, prob = most_probable_path(d, d.init, target)
-    for i, fs in enumerate(sets):
+    for fs in sets:
         current = path_abstract(current, fs)
         path, prob = most_probable_path(current, d.init, target)
-        trace.append(RefinementStep(i, tuple(sorted(fs)), current, path or None, prob))
+        trace.append(RefinementStep(tuple(sorted(fs)), current, path or None, prob))
         if prob > threshold:
             break
-    index = trace[-1].index if trace else None
+    index = len(trace) - 1 if trace else None
     return RefinementReport(prob > threshold, index, path or None, prob, tuple(trace))
 
 

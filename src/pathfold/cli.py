@@ -16,7 +16,6 @@ on canonical input.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import re
 import sys
@@ -243,10 +242,7 @@ def _cmd_refine(args: argparse.Namespace, d: Dtmc) -> int:
     return 3 if report.violated else 0
 
 
-@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The one parser of this process, built when the module is imported;
-    each ``parse_args`` fills a fresh namespace, so no flag outlives a call."""
     parser = argparse.ArgumentParser(
         prog="pathfold",
         description=(
@@ -301,19 +297,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_build_parser()
+# The one parser of this process, built when the module is imported; each
+# ``parse_args`` fills a fresh namespace, so no flag outlives a call.
+_PARSER = _build_parser()
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
-        text = Path(args.file).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        d = parse(text)
-    except (ModelFormatError, ValidationError) as exc:
+        d = parse(Path(args.file).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, ModelFormatError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:

@@ -59,7 +59,8 @@ class Dtmc:
 
     ``rows`` is a tuple of row tuples whose entries are all
     :class:`Fraction`.  Row tuples are immutable and may be shared between
-    chains, so a collapse reuses the rows it leaves alone.
+    chains, so a collapse reuses the rows it leaves alone, and the rows
+    :meth:`from_transitions` gets no entry for share one zero tuple.
 
     Beside the rows every chain carries its support, the digraph of its
     nonzero entries: ``succ[s - 1]`` lists the targets of state ``s`` with
@@ -100,13 +101,17 @@ class Dtmc:
         cls, n: int, init: int, transitions: Mapping[tuple[int, int], object]
     ) -> "Dtmc":
         zero = Fraction(0)
-        rows = [[zero] * n for _ in range(n)]
+        empty = (zero,) * n
+        rows: list = [empty] * n
         succ: list[list[int]] = [[] for _ in range(n)]
         pred: list[list[int]] = [[] for _ in range(n)]
         for (s, t), p in transitions.items():
             if not (1 <= s <= n and 1 <= t <= n):
                 raise ValueError(f"state pair ({s},{t}) out of range 1..{n}")
-            rows[s - 1][t - 1] = p = Fraction(p)  # type: ignore[arg-type]
+            row = rows[s - 1]
+            if row is empty:
+                rows[s - 1] = row = [zero] * n
+            row[t - 1] = p = Fraction(p)  # type: ignore[arg-type]
             if p.numerator:
                 succ[s - 1].append(t)
                 pred[t - 1].append(s)
@@ -114,6 +119,7 @@ class Dtmc:
             targets.sort()
         for sources in pred:
             sources.sort()
+        # tuple() hands a tuple back as it is, so ``empty`` stays shared
         return cls(
             init,
             tuple(map(tuple, rows)),

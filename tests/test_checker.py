@@ -158,6 +158,12 @@ def test_best_path_within_rejects_out_of_range_states(me):
             most_probable_path(me, 1, 7, within=within)
 
 
+def test_best_path_rejects_out_of_range_endpoints(me):
+    for src, dst in [(0, 7), (9, 7), (1, 0), (1, 9)]:
+        with pytest.raises(ValueError, match="out of range"):
+            most_probable_path(me, src, dst)
+
+
 def test_best_path_dominates_random_paths(me):
     rng = random.Random(107)
     _, best = most_probable_path(me, 1, 7)
@@ -290,6 +296,15 @@ def test_refine_rejects_non_absorbing_target(me):
         refine(me, 3, Fraction(1, 2), [S1])
 
 
+def test_refine_rejects_threshold_outside_zero_to_one():
+    # the target is unreachable, so every witness has probability 0
+    # and a negative threshold would otherwise report a violation
+    d = Dtmc.from_transitions(2, 1, {(1, 1): Fraction(1, 2), (2, 2): 1})
+    for threshold in [Fraction(-1, 5), Fraction(3, 2)]:
+        with pytest.raises(ValueError, match="threshold"):
+            refine(d, 2, threshold, [{1}])
+
+
 def test_refine_empty_sequence_reports_plain_witness(me):
     report = refine(me, 7, Fraction(1, 100), [])
     assert report.violated
@@ -299,7 +314,7 @@ def test_refine_empty_sequence_reports_plain_witness(me):
 
 def test_refine_trace_records_shrinking_chains(me):
     report = refine(me, 7, Fraction(1), [S1, S2, K])
-    counts = [step.transition_count for step in report.trace]
+    counts = [step.chain.transition_count() for step in report.trace]
     assert counts == sorted(counts, reverse=True)
     assert [step.subset for step in report.trace] == [
         (2, 5, 6),
@@ -340,6 +355,11 @@ def test_concretize_rejects_non_path(me):
     for word in [(99,), (0,)]:
         with pytest.raises(NotAPathError):
             concretize_witness(me, (), word)
+    # (1, 2, 3) is a path of the chain recorded for S1, but steps recorded
+    # on `me` do not expand in a chain where every state only loops
+    loops = Dtmc.from_transitions(8, 1, {(s, s): 1 for s in range(1, 9)})
+    with pytest.raises(NotAPathError, match="no route from 2 to 3"):
+        concretize_witness(loops, _steps(me, [S1]), (1, 2, 3))
 
 
 def test_concretize_collapses_back_and_is_sound():
@@ -349,7 +369,7 @@ def test_concretize_collapses_back_and_is_sound():
         target = goals[0]
         k = non_absorbing(d)
         seq = [random_subset(rng, k) for _ in range(rng.randint(1, 3))]
-        report = refine(d, target, Fraction(2), seq)
+        report = refine(d, target, Fraction(1), seq)
         assert not report.violated
         if report.witness_path is None:
             continue

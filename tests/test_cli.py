@@ -3,6 +3,7 @@
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from helpers import (
 )
 from pathfold.abstraction import path_abstract
 from pathfold.cli import (
-    _build_parser,
+    _PARSER,
     DuplicateTransitionError,
     ModelSyntaxError,
     ProbabilityOutOfRangeError,
@@ -56,6 +57,19 @@ def test_parse_minimal_substochastic_model():
     d = parse("dtmc 1 1\n")
     assert d.n == 1
     assert not validate(d).is_stochastic
+
+
+def test_parse_allocates_only_the_rows_with_entries():
+    # a dense table for this header would hold 9 M entries (138 MB)
+    tracemalloc.start()
+    try:
+        d = parse("dtmc 3000 1\n1 2 1/2\n2 2 1\n")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
+    assert list(d.transitions()) == [(1, 2, Fraction(1, 2)), (2, 2, Fraction(1))]
+    assert d.prob(3000, 3000) == 0
 
 
 def test_parse_normalizes_probabilities():
@@ -337,8 +351,9 @@ def test_refine_concretize_collapses_once_per_step(capsys, monkeypatch):
     assert subsets == [{2, 5, 6}, {3, 4}, {1, 2, 3, 4, 5, 6}]
 
 
-def test_main_reuses_one_parser_without_leaking_flags(capsys):
-    parser = _build_parser()
+def test_main_reuses_one_parser_without_leaking_flags(capsys, monkeypatch):
+    # main parses with the parser built at import and builds no other
+    monkeypatch.setattr(pathfold.cli, "_build_parser", None)
     code, out, _ = run(capsys, "check", str(EXAMPLE), "--goal", "7,8", "--json")
     assert (code, out) == (0, '{"7": "5/9", "8": "4/9", "total": "1/1"}\n')
     code, out, _ = run(capsys, "check", str(EXAMPLE), "--goal", "7,8")
@@ -350,7 +365,7 @@ def test_main_reuses_one_parser_without_leaking_flags(capsys):
     assert (code, out) == (3, f"{violated} concrete=1,2,3,4,7\n")
     code, out, _ = run(capsys, *argv)
     assert (code, out) == (3, f"{violated}\n")
-    assert _build_parser() is parser
+    assert pathfold.cli._PARSER is _PARSER
 
 
 def test_refine_command_threshold_one_is_ok(capsys):
