@@ -40,20 +40,17 @@ class SingularMatrixError(DtmcError):
 
 @dataclass(frozen=True)
 class FrontierSets:
-    """The four state sets steering one collapse step.
+    """The three state sets steering one collapse step.
 
-    ``interior_zero``
-        Members of the subset, other than the initial state, with no
-        incoming transition from outside; they lose all transitions.
     ``entries``
-        The remaining members, the ones a path can enter through.
+        Members of the subset a path can enter through; the others,
+        :func:`interior_zero`, lose all their transitions.
     ``exits``
         Outside states fed directly from the subset.
     ``reaching``
         Members with a route to an exit that stays inside the subset.
     """
 
-    interior_zero: StateSet
     entries: StateSet
     exits: StateSet
     reaching: StateSet
@@ -73,13 +70,11 @@ class LinearSystem:
 
 
 def frontier(d: Dtmc, subset: Iterable[int]) -> FrontierSets:
-    """Compute all four frontier sets for collapsing ``subset``."""
+    """Compute the three frontier sets for collapsing ``subset``."""
     s1 = state_set(subset, d.n)
-    interior = interior_zero(d, s1)
     succ = d.succ
     exits = frozenset(t for s in s1 for t in succ[s - 1] if t not in s1)
-    reaching = reach_backward(d, s1, exits)
-    return FrontierSets(interior, s1 - interior, exits, reaching)
+    return FrontierSets(s1 - interior_zero(d, s1), exits, reach_backward(d, s1, exits))
 
 
 def interior_zero(d: Dtmc, subset: Iterable[int]) -> StateSet:
@@ -300,11 +295,12 @@ def path_abstract(d: Dtmc, subset: Iterable[int]) -> Dtmc:
     zero = Fraction(0)
     zero_row = (zero,) * d.n
     # No outside row feeds an interior state, so outside rows stay as they are.
-    rows = [zero_row if s in s1 else row for s, row in enumerate(d.rows, 1)]
+    rows = list(d.rows)
     succ = list(d.succ)
     touched: set[int] = set()
     for s in s1:
         touched.update(succ[s - 1])
+        rows[s - 1] = zero_row
         succ[s - 1] = ()
     fed: dict[int, list[int]] = {}
     sources = sorted(fr.entries & fr.reaching)

@@ -53,7 +53,6 @@ class RefinementStep:
 @dataclass(frozen=True)
 class RefinementReport:
     violated: bool
-    step_index: int | None
     witness_path: Word | None
     witness_prob: Fraction
     trace: tuple[RefinementStep, ...]
@@ -68,8 +67,8 @@ def model_check(
     them at once (``direct``), component by component (``scc``, through
     :func:`abstract_via_sccs`), or recursively inside the components
     something enters (``recursive``, through :func:`abstract_recursive`).
-    All three agree exactly, so the choice is a matter of what intermediate
-    chains one wants to see.
+    All three agree exactly; they differ only in the collapses made on the
+    way, which none of them returns.
     """
     goal_set = state_set(goals, d.n)
     if d.init in goal_set:
@@ -157,7 +156,8 @@ def refine(
 ) -> RefinementReport:
     """Collapse along ``subsets``, checking after each step for a single
     path from the initial state to ``target`` whose probability exceeds
-    ``threshold`` (from 0 to 1); stop at the first step exhibiting one.
+    ``threshold``, an exact value from 0 to 1 (a ``float`` raises
+    ``TypeError``); stop at the first step exhibiting one.
 
     Witness probabilities only grow along the sequence (a collapsed path
     carries at least the mass of any single path it stands for), so a run
@@ -167,6 +167,8 @@ def refine(
     """
     if d.prob(target, target) != 1:
         raise GoalNotAbsorbingError(f"target {target} is not absorbing")
+    if isinstance(threshold, float):
+        raise TypeError(f"threshold {threshold!r} is a binary float")
     threshold = Fraction(threshold)
     if not 0 <= threshold <= 1:
         raise ValueError(f"threshold {threshold} is not in 0..1")
@@ -194,8 +196,7 @@ def refine(
         trace.append(RefinementStep(tuple(sorted(fs)), current, path or None, prob))
         if prob > threshold:
             break
-    index = len(trace) - 1 if trace else None
-    return RefinementReport(prob > threshold, index, path or None, prob, tuple(trace))
+    return RefinementReport(prob > threshold, path or None, prob, tuple(trace))
 
 
 def concretize_witness(

@@ -229,7 +229,7 @@ def _cmd_refine(args: argparse.Namespace, d: Dtmc) -> int:
     report = refine(d, _parse_state(args.target), threshold, seq)
     if report.violated:
         line = (
-            f"VIOLATED step={report.step_index}"
+            f"VIOLATED step={len(report.trace) - 1}"
             f" path={_fmt_path(report.witness_path)}"
             f" prob={_fmt(report.witness_prob)}"
         )

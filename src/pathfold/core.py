@@ -49,11 +49,6 @@ class InitOutOfRangeError(ValidationError):
 
 
 @dataclass(frozen=True)
-class ValidationReport:
-    is_stochastic: bool
-
-
-@dataclass(frozen=True)
 class Dtmc:
     """A (sub)stochastic matrix over states ``1..n`` plus an initial state.
 
@@ -73,7 +68,8 @@ class Dtmc:
     ``Dtmc(init, rows, succ, pred)`` takes all three as given, and they
     must agree: :func:`validate` does not cross-check them.
     :meth:`from_rows` and :meth:`from_transitions` are the normalising
-    builders: they accept any numbers and build the lists from the entries.
+    builders: they take any value :class:`Fraction` takes except a binary
+    ``float``, which raises ``TypeError``, and build the lists from them.
     A collapse or a prune hands the lists on, rewriting only those its
     rewritten rows touch.  Equality, hashing and ``repr`` look at ``init``
     and ``rows`` alone.
@@ -108,6 +104,8 @@ class Dtmc:
         for (s, t), p in transitions.items():
             if not (1 <= s <= n and 1 <= t <= n):
                 raise ValueError(f"state pair ({s},{t}) out of range 1..{n}")
+            if isinstance(p, float):
+                raise TypeError(f"entry ({s},{t}) is a binary float: {p!r}")
             row = rows[s - 1]
             if row is empty:
                 rows[s - 1] = row = [zero] * n
@@ -158,10 +156,10 @@ def state_set(states: Iterable[int], n: int) -> StateSet:
     return out
 
 
-def validate(d: Dtmc) -> ValidationReport:
+def validate(d: Dtmc) -> bool:
     """Check entry ranges, row sums and the initial state.
 
-    Returns a report with the stochastic/substochastic verdict; raises a
+    Returns True if the chain is stochastic, False if substochastic; raises a
     :class:`ValidationError` subclass on any violation, naming the first
     offending entry in (src, dst) order.  Every entry outside the support
     is zero and so in range, so only the entries ``d.succ`` lists are read.
@@ -185,7 +183,7 @@ def validate(d: Dtmc) -> ValidationReport:
             raise RowSumExceedsOneError(s, total)
         if total != 1:
             stochastic = False
-    return ValidationReport(is_stochastic=stochastic)
+    return stochastic
 
 
 def non_absorbing(d: Dtmc) -> StateSet:

@@ -15,17 +15,17 @@ members already fed, so every component's edges and interior are the same
 in the input as in the chain it is collapsed in.  Either sequence ends with
 the region only once: when the region is itself the last component listed,
 collapsing it a second time would change nothing, so it is not repeated.
-Both land on exactly the matrix obtained by collapsing the region directly;
-the point of going piecewise is that the intermediate chains are worth
-looking at, not the final one.
+Both land on exactly the matrix obtained by collapsing the region directly,
+and neither returns the chains in between: :func:`pathfold.checker.refine`,
+handed the same subsets, records each of them in its trace.
 
 Components come from one iterative Tarjan search (Tarjan, SIAM J. Comput.
 1972) over the members' ``Dtmc.succ`` lists, roots ascending, and are listed
 in the reverse of the order it emits them: each precedes the components it
 can reach, and components that cannot reach each other come in the reverse
 of the order the search finished them.  Since a collapse is exact along any
-subset sequence, that order changes no result, but it is kept stable so
-that the intermediate chains are too.
+subset sequence, that order changes no result; it is deterministic all the
+same, so each strategy makes the same collapses on every run.
 """
 
 from __future__ import annotations
@@ -110,8 +110,8 @@ def abstract_via_sccs(d: Dtmc, subset: Iterable[int]) -> Dtmc:
     """Collapse each nontrivial component of ``subset``, then ``subset``
     unless it was that last component.
 
-    The result equals collapsing ``subset`` in one go; the staging exists
-    so the intermediate chains can be inspected along the way.
+    The result equals collapsing ``subset`` in one go; to see each chain in
+    between, hand the same subsets to :func:`pathfold.checker.refine`.
     """
     s1 = state_set(subset, d.n)
     return path_abstract_seq(d, _then(nontrivial_sccs(d, s1), s1))

@@ -23,7 +23,6 @@ from pathfold.core import (
     NegativeEntryError,
     RowSumExceedsOneError,
     ValidationError,
-    ValidationReport,
     state_set,
 )
 from pathfold.scc import nontrivial_sccs
@@ -364,7 +363,7 @@ def gauss_jordan_solve(
 # directly: each reads every entry through the bounds-checked ``Dtmc.prob``.
 
 
-def validate_by_prob(d: Dtmc) -> ValidationReport:
+def validate_by_prob(d: Dtmc) -> bool:
     """:func:`pathfold.core.validate` over all n² entries, zeros included."""
     n = d.n
     if not (1 <= d.init <= n):
@@ -384,7 +383,7 @@ def validate_by_prob(d: Dtmc) -> ValidationReport:
         if total > 1:
             raise RowSumExceedsOneError(s, total)
         stochastic = stochastic and total == 1
-    return ValidationReport(is_stochastic=stochastic)
+    return stochastic
 
 
 def transition_count_by_prob(d: Dtmc) -> int:
@@ -411,7 +410,7 @@ def frontier_by_prob(d: Dtmc, subset) -> FrontierSets:
     )
     exits = frozenset(t for t in outside if any(d.prob(s, t) > 0 for s in s1))
     reaching = reach_backward_by_prob(d, s1, exits)
-    return FrontierSets(interior, s1 - interior, exits, reaching)
+    return FrontierSets(s1 - interior, exits, reaching)
 
 
 def linear_system_by_prob(d: Dtmc, fr: FrontierSets) -> LinearSystem:

@@ -25,6 +25,7 @@ from oracle import local_reach_prob_bounded
 from pathfold.abstraction import (
     SingularMatrixError,
     frontier,
+    interior_zero,
     linear_system,
     path_abstract,
     path_abstract_seq,
@@ -40,14 +41,14 @@ from pathfold.core import Dtmc, validate
 
 def test_frontier_worked_example(me):
     fr = frontier(me, S1)
-    assert fr.interior_zero == frozenset({5, 6})
+    assert interior_zero(me, S1) == frozenset({5, 6})
     assert fr.entries == frozenset({2})
     assert fr.exits == frozenset({3, 8})
     assert fr.reaching == frozenset({2, 5, 6})
 
 
 def test_frontier_excludes_init_from_interior(me):
-    assert frontier(me, {1}).interior_zero == frozenset()
+    assert interior_zero(me, {1}) == frozenset()
 
 
 def test_frontier_invariants_random():
@@ -56,9 +57,10 @@ def test_frontier_invariants_random():
         d = random_dtmc(rng, rng.randint(2, 8))
         s1 = random_subset(rng, d.states())
         fr = frontier(d, s1)
-        assert fr.interior_zero | fr.entries == s1
-        assert not fr.interior_zero & fr.entries
-        assert d.init not in fr.interior_zero
+        interior = interior_zero(d, s1)
+        assert interior | fr.entries == s1
+        assert not interior & fr.entries
+        assert d.init not in interior
         assert not fr.exits & s1
         assert fr.reaching <= s1
 
@@ -247,6 +249,24 @@ def test_new_edges_appear_only_from_entries_to_exits():
             if (s, t) not in old:
                 assert s in fr.entries & fr.reaching
                 assert t in fr.exits
+
+
+def test_collapse_shares_every_row_and_successor_list_it_leaves_alone():
+    # half the chains have states without an entry, which share one zero row
+    rng = random.Random(71)
+    for i in range(60):
+        d = random_dtmc(rng, rng.randint(2, 9))
+        if i % 2:
+            keep = random_subset(rng, d.states())
+            d = Dtmc.from_transitions(
+                d.n, d.init, {(s, t): p for s, t, p in d.transitions() if s in keep}
+            )
+        s1 = random_subset(rng, d.states())
+        collapsed = path_abstract(d, s1)
+        for s in d.states():
+            if s not in s1:
+                assert collapsed.rows[s - 1] is d.rows[s - 1]
+                assert collapsed.succ[s - 1] is d.succ[s - 1]
 
 
 def test_transition_count_shrinks_on_the_worked_family(me):

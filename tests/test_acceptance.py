@@ -38,7 +38,12 @@ from oracle import (
     preimage_min_bounded,
     splice,
 )
-from pathfold.abstraction import frontier, path_abstract, path_abstract_seq
+from pathfold.abstraction import (
+    frontier,
+    interior_zero,
+    path_abstract,
+    path_abstract_seq,
+)
 from pathfold.checker import model_check, refine
 from pathfold.cli import parse, serialize
 from pathfold.core import Dtmc, non_absorbing, validate
@@ -77,7 +82,7 @@ def test_criterion_2_intermediate_collapses_exact():
 def test_criterion_3_refinement_reproduction():
     report = refine(me_dtmc(), 7, Fraction(4, 9), [frozenset({1, 2, 3, 4})])
     assert report.violated
-    assert report.step_index == 0
+    assert len(report.trace) - 1 == 0
     assert report.witness_prob == Fraction(13, 27)
     _ok(3, "threshold 4/9 violated at step 0 with witness mass 13/27")
 
@@ -240,14 +245,14 @@ def test_criterion_8_robustness():
     unentered = Dtmc.from_transitions(
         4, 1, {(1, 4): 1, (2, 3): 1, (3, 2): 1, (4, 4): 1}
     )
-    assert frontier(unentered, {2, 3}).interior_zero == frozenset({2, 3})
+    assert interior_zero(unentered, {2, 3}) == frozenset({2, 3})
     assert abstract_recursive(unentered, {2, 3}) == path_abstract(unentered, {2, 3})
     entered = Dtmc.from_transitions(
         4,
         1,
         {(1, 2): "1/2", (1, 4): "1/2", (2, 3): 1, (3, 2): "1/2", (3, 4): "1/2", (4, 4): 1},
     )
-    assert frontier(entered, {2, 3}).interior_zero != frozenset({2, 3})
+    assert interior_zero(entered, {2, 3}) != frozenset({2, 3})
     assert abstract_recursive(entered, {2, 3}) == path_abstract(entered, {2, 3})
 
     # absorbing self-loops survive the full collapse

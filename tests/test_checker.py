@@ -250,7 +250,6 @@ def test_best_path_equals_the_fraction_keyed_search_on_goal_models(seed, n):
 def test_refine_flags_first_step(me):
     report = refine(me, 7, Fraction(4, 9), [REFINEMENT_SET])
     assert report.violated
-    assert report.step_index == 0
     assert report.witness_path == (1, 7)
     assert report.witness_prob == Fraction(13, 27)
     assert len(report.trace) == 1
@@ -261,13 +260,13 @@ def test_refine_threshold_one_never_fires(me):
     assert not report.violated
     assert report.witness_prob == Fraction(5, 9)
     assert report.witness_path == (1, 7)
-    assert report.step_index == 1
+    assert len(report.trace) - 1 == 1
 
 
 def test_refine_three_step_sequence(me):
     report = refine(me, 7, Fraction(4, 9), [S1, S2, K])
     assert report.violated
-    assert report.step_index == 2
+    assert len(report.trace) - 1 == 2
     assert report.witness_prob == Fraction(5, 9)
     # one step earlier the best witness ties the threshold, which is no
     # violation under a strict comparison
@@ -305,10 +304,22 @@ def test_refine_rejects_threshold_outside_zero_to_one():
             refine(d, 2, threshold, [{1}])
 
 
+def test_refine_rejects_binary_float_threshold():
+    # the witness 1,2 has probability exactly 3/10, which exceeds the binary
+    # 0.3 (just below 3/10) but not 3/10; a subclass of float is caught too
+    d = Dtmc.from_transitions(
+        3, 1, {(1, 2): "3/10", (1, 3): "7/10", (2, 2): 1, (3, 3): 1}
+    )
+    for threshold in [0.3, type("F", (float,), {})(0.3)]:
+        with pytest.raises(TypeError, match=r"threshold 0\.3 is a binary float"):
+            refine(d, 2, threshold, [{1}])
+    assert not refine(d, 2, "3/10", [{1}]).violated
+
+
 def test_refine_empty_sequence_reports_plain_witness(me):
     report = refine(me, 7, Fraction(1, 100), [])
     assert report.violated
-    assert report.step_index is None
+    assert report.trace == ()
     assert report.witness_prob == Fraction(5, 54)
 
 
@@ -373,7 +384,7 @@ def test_concretize_collapses_back_and_is_sound():
         assert not report.violated
         if report.witness_path is None:
             continue
-        upto = len(seq) if report.step_index is None else report.step_index + 1
+        upto = len(report.trace)
         concrete = concretize_witness(d, report.trace, report.witness_path)
         assert path_prob(d, concrete) > 0
         assert minus_seq(concrete, seq[:upto]) == report.witness_path

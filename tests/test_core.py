@@ -23,12 +23,12 @@ from pathfold.core import (
 
 
 def test_validate_worked_example_is_stochastic(me):
-    assert validate(me).is_stochastic
+    assert validate(me)
 
 
 def test_validate_half_self_loop_is_substochastic():
     d = Dtmc.from_rows(1, [["1/2"]])
-    assert not validate(d).is_stochastic
+    assert not validate(d)
 
 
 def test_validate_rejects_row_sum_above_one():
@@ -89,7 +89,7 @@ def test_validate_accepts_all_published_collapses(me):
         collapsed = path_abstract(me, subset)
         validate(collapsed)
         pruned, _ = prune_isolated(collapsed)
-        assert validate(pruned).is_stochastic
+        assert validate(pruned)
 
 
 def test_collapsing_a_trapping_region_goes_substochastic(me):
@@ -98,7 +98,7 @@ def test_collapsing_a_trapping_region_goes_substochastic(me):
     # with an all-zero row even after pruning
     pruned, mapping = prune_isolated(path_abstract(me, {5, 6, 7}))
     assert 7 in mapping
-    assert not validate(pruned).is_stochastic
+    assert not validate(pruned)
 
 
 def test_non_absorbing_worked_example(me):
@@ -153,6 +153,21 @@ def test_from_transitions_rejects_out_of_range_pairs():
     for pair in [(0, 1), (-1, 1), (1, 3), (3, 1), (1, 0)]:
         with pytest.raises(ValueError, match=r"out of range 1\.\.2"):
             Dtmc.from_transitions(2, 1, {pair: 1})
+
+
+def test_builders_reject_binary_floats():
+    # 0.1 as a binary float is 3602879701896397/36028797018963968, so this
+    # row, written as stochastic, would have validated as substochastic; a
+    # subclass of float is caught too
+    tenths = {(1, 1): 0.1, (1, 2): "1/5", (1, 3): Fraction(7, 10)}
+    tenths.update({(2, 2): 1, (3, 3): 1})
+    with pytest.raises(TypeError, match=r"entry \(1,1\) is a binary float"):
+        Dtmc.from_transitions(3, 1, tenths)
+    with pytest.raises(TypeError, match=r"entry \(2,3\)"):
+        Dtmc.from_transitions(3, 1, {(2, 3): type("F", (float,), {})(1)})
+    with pytest.raises(TypeError, match=r"entry \(1,2\)"):
+        Dtmc.from_rows(1, [[0, 0.5], [0, 1]])
+    assert validate(Dtmc.from_transitions(3, 1, {**tenths, (1, 1): "1/10"}))
 
 
 def test_pipeline_outputs_stay_in_lowest_terms():
