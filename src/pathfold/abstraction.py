@@ -27,6 +27,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, compress
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -81,31 +82,37 @@ def interior_zero(d: Dtmc, subset: Iterable[int]) -> StateSet:
     """Members of ``subset``, other than the initial state, that no state
     outside ``subset`` feeds: the ones a collapse of it clears."""
     s1 = state_set(subset, d.n)
-    pred = d.pred
-    return frozenset(
-        s for s in s1 if s != d.init and all(r in s1 for r in pred[s - 1])
-    )
+    outside = [True] * d.n
+    for s in s1:
+        outside[s - 1] = False
+    fed = chain.from_iterable(compress(d.succ, outside))
+    return s1.difference(fed, (d.init,))
 
 
 def reach_backward(d: Dtmc, subset: Iterable[int], exits: Iterable[int]) -> StateSet:
     """Members of ``subset`` with a positive-probability route to ``exits``
     that stays inside ``subset`` until the final step.
 
-    A search backwards from the exits over ``d.pred``: each state it takes
-    from the worklist has its predecessor list read once, and the members
-    not reached yet found there join the worklist.  So no edge is followed
-    twice, and the search stops once nothing new is reached.
+    The successor lists of the members that are not exits are inverted
+    once, then searched backwards from the exits: each state taken from
+    the worklist has its sources read once, and the members not reached
+    yet found there join the worklist.  So no edge is followed twice, and
+    the search stops once nothing new is reached.
     """
     s1 = state_set(subset, d.n)
     exit_set = state_set(exits, d.n)
-    pred = d.pred
-    unreached = set(s1 - exit_set)
+    members = s1 - exit_set
+    sources: dict[int, list[int]] = {}
+    for r in members:
+        for t in d.succ[r - 1]:
+            sources.setdefault(t, []).append(r)
+    unreached = set(members)
     todo = list(exit_set)
     while todo and unreached:
-        found = [r for r in pred[todo.pop() - 1] if r in unreached]
+        found = [r for r in sources.get(todo.pop(), ()) if r in unreached]
         unreached.difference_update(found)
         todo += found
-    return s1 - exit_set - unreached
+    return members - unreached
 
 
 def linear_system(d: Dtmc, fr: FrontierSets) -> LinearSystem:
@@ -286,9 +293,8 @@ def path_abstract(d: Dtmc, subset: Iterable[int]) -> Dtmc:
     say) silently drops the trapped mass and leaves the result
     substochastic; that is intended, not an error.
 
-    The new chain's support is derived from ``d``'s: only the
-    members' successor lists and the predecessor lists of the states they
-    fed before or feed now are rewritten.
+    The new chain's support is derived from ``d``'s: only the members'
+    successor lists are rewritten.
     """
     s1 = state_set(subset, d.n)
     fr = frontier(d, s1)
@@ -297,12 +303,9 @@ def path_abstract(d: Dtmc, subset: Iterable[int]) -> Dtmc:
     # No outside row feeds an interior state, so outside rows stay as they are.
     rows = list(d.rows)
     succ = list(d.succ)
-    touched: set[int] = set()
     for s in s1:
-        touched.update(succ[s - 1])
         rows[s - 1] = zero_row
         succ[s - 1] = ()
-    fed: dict[int, list[int]] = {}
     sources = sorted(fr.entries & fr.reaching)
     if sources:
         index = {s: i for i, s in enumerate(sorted(fr.reaching))}
@@ -310,20 +313,11 @@ def path_abstract(d: Dtmc, subset: Iterable[int]) -> Dtmc:
         exits = sorted(fr.exits)
         for s, probs in zip(sources, q):
             row = [zero] * d.n
-            targets = []
             for t, p in zip(exits, probs):
                 row[t - 1] = p
-                if p.numerator:
-                    targets.append(t)
-                    fed.setdefault(t, []).append(s)
             rows[s - 1] = tuple(row)
-            succ[s - 1] = tuple(targets)
-    pred = list(d.pred)
-    for t in touched.union(fed):
-        # both runs are ascending, so the sort only merges them
-        kept = [r for r in pred[t - 1] if r not in s1]
-        pred[t - 1] = tuple(sorted(kept + fed[t])) if t in fed else tuple(kept)
-    return Dtmc(d.init, tuple(rows), tuple(succ), tuple(pred))
+            succ[s - 1] = tuple(t for t, p in zip(exits, probs) if p.numerator)
+    return Dtmc(d.init, tuple(rows), tuple(succ))
 
 
 def path_abstract_seq(d: Dtmc, subsets: Iterable[Iterable[int]]) -> Dtmc:
@@ -352,5 +346,4 @@ def prune_isolated(d: Dtmc) -> tuple[Dtmc, dict[int, int]]:
     cols = [t - 1 for t in keep]
     rows = tuple(tuple(d.rows[s - 1][c] for c in cols) for s in keep)
     succ = tuple(tuple([mapping[t] for t in d.succ[s - 1]]) for s in keep)
-    pred = tuple(tuple([mapping[r] for r in d.pred[t - 1]]) for t in keep)
-    return Dtmc(mapping[d.init], rows, succ, pred), mapping
+    return Dtmc(mapping[d.init], rows, succ), mapping

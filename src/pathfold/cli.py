@@ -32,7 +32,7 @@ from .checker import (
     model_check,
     refine,
 )
-from .core import Dtmc, DtmcError, ValidationError, validate
+from .core import Dtmc, DtmcError, ValidationError, decimal_str, validate
 
 
 class ModelFormatError(DtmcError):
@@ -104,6 +104,8 @@ def parse(text: str) -> Dtmc:
                     line_no, f"expected 'dtmc <n> <init>', got {stripped!r}"
                 )
             header = (_parse_int(tokens[1], line_no), _parse_int(tokens[2], line_no))
+            if header[0] > sys.maxsize:
+                raise ModelSyntaxError(line_no, f"state count exceeds {sys.maxsize}")
             continue
         if len(tokens) != 3:
             raise ModelSyntaxError(
@@ -138,28 +140,8 @@ def serialize(d: Dtmc) -> str:
     return "\n".join(lines) + "\n"
 
 
-_CHUNK_DIGITS = 600
-_CHUNK = 10**_CHUNK_DIGITS
-
-
-def _decimal(n: int) -> str:
-    """``str(n)`` for a nonnegative int of any length.
-
-    Python refuses to convert an int of more than 4300 digits (by default;
-    at least 640 however configured) to a string in one piece, yet an exact
-    answer can be that long.  Such an int is written out in 600-digit
-    chunks instead, so the limit still guards parsing.
-    """
-    chunks = []
-    while n >= _CHUNK:
-        n, low = divmod(n, _CHUNK)
-        chunks.append(str(low).zfill(_CHUNK_DIGITS))
-    chunks.append(str(n))
-    return "".join(reversed(chunks))
-
-
 def _fmt(p: Fraction) -> str:
-    return f"{_decimal(p.numerator)}/{_decimal(p.denominator)}"
+    return f"{decimal_str(p.numerator)}/{decimal_str(p.denominator)}"
 
 
 def _fmt_path(path) -> str:

@@ -16,6 +16,33 @@ from typing import Iterable, Iterator, Mapping
 StateSet = frozenset[int]
 
 
+_CHUNK_DIGITS = 600
+_CHUNK = 10**_CHUNK_DIGITS
+
+
+def decimal_str(n: int) -> str:
+    """``str(n)`` for a nonnegative int of any length.
+
+    Python refuses to convert an int of more than 4300 digits (by default;
+    at least 640 however configured) to a string in one piece, yet an exact
+    answer can be that long.  Such an int is written out in 600-digit
+    chunks instead, so the limit still guards parsing.
+    """
+    chunks = []
+    while n >= _CHUNK:
+        n, low = divmod(n, _CHUNK)
+        chunks.append(str(low).zfill(_CHUNK_DIGITS))
+    chunks.append(str(n))
+    return "".join(reversed(chunks))
+
+
+def _ratio(value: Fraction) -> str:
+    """``str(value)`` for a ``Fraction`` of any length."""
+    p, q = value.numerator, value.denominator
+    text = ("-" if p < 0 else "") + decimal_str(abs(p))
+    return text if q == 1 else f"{text}/{decimal_str(q)}"
+
+
 class DtmcError(Exception):
     """Base class for all errors raised by this package."""
 
@@ -26,19 +53,19 @@ class ValidationError(DtmcError):
 
 class NegativeEntryError(ValidationError):
     def __init__(self, src: int, dst: int, value: Fraction):
-        super().__init__(f"entry ({src},{dst}) is negative: {value}")
+        super().__init__(f"entry ({src},{dst}) is negative: {_ratio(value)}")
         self.src, self.dst, self.value = src, dst, value
 
 
 class EntryExceedsOneError(ValidationError):
     def __init__(self, src: int, dst: int, value: Fraction):
-        super().__init__(f"entry ({src},{dst}) exceeds one: {value}")
+        super().__init__(f"entry ({src},{dst}) exceeds one: {_ratio(value)}")
         self.src, self.dst, self.value = src, dst, value
 
 
 class RowSumExceedsOneError(ValidationError):
     def __init__(self, state: int, total: Fraction):
-        super().__init__(f"row {state} sums to {total} > 1")
+        super().__init__(f"row {state} sums to {_ratio(total)} > 1")
         self.state, self.total = state, total
 
 
@@ -59,26 +86,25 @@ class Dtmc:
 
     Beside the rows every chain carries its support, the digraph of its
     nonzero entries: ``succ[s - 1]`` lists the targets of state ``s`` with
-    nonzero probability and ``pred[t - 1]`` the sources of state ``t``,
-    both ascending.  On a chain :func:`validate` accepts no entry is
-    negative, so the support is exactly the positive digraph.
+    nonzero probability, ascending.  On a chain :func:`validate` accepts
+    no entry is negative, so the support is exactly the positive digraph.
     :func:`validate` and the graph layers walk these lists and read
-    ``rows`` only at nonzero entries.
+    ``rows`` only at nonzero entries; the layers that need a state's
+    sources derive them from the lists.
 
-    ``Dtmc(init, rows, succ, pred)`` takes all three as given, and they
-    must agree: :func:`validate` does not cross-check them.
+    ``Dtmc(init, rows, succ)`` takes ``rows`` and ``succ`` as given, and
+    they must agree: :func:`validate` does not cross-check them.
     :meth:`from_rows` and :meth:`from_transitions` are the normalising
     builders: they take any value :class:`Fraction` takes except a binary
     ``float``, which raises ``TypeError``, and build the lists from them.
-    A collapse or a prune hands the lists on, rewriting only those its
-    rewritten rows touch.  Equality, hashing and ``repr`` look at ``init``
+    A collapse hands the lists on, rewriting only its members' lists, and a
+    prune renumbers them.  Equality, hashing and ``repr`` look at ``init``
     and ``rows`` alone.
     """
 
     init: int
     rows: tuple[tuple[Fraction, ...], ...]
     succ: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
-    pred: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
 
     @classmethod
     def from_rows(cls, init: int, rows: Iterable[Iterable]) -> "Dtmc":
@@ -100,7 +126,6 @@ class Dtmc:
         empty = (zero,) * n
         rows: list = [empty] * n
         succ: list[list[int]] = [[] for _ in range(n)]
-        pred: list[list[int]] = [[] for _ in range(n)]
         for (s, t), p in transitions.items():
             if not (1 <= s <= n and 1 <= t <= n):
                 raise ValueError(f"state pair ({s},{t}) out of range 1..{n}")
@@ -112,18 +137,10 @@ class Dtmc:
             row[t - 1] = p = Fraction(p)  # type: ignore[arg-type]
             if p.numerator:
                 succ[s - 1].append(t)
-                pred[t - 1].append(s)
         for targets in succ:
             targets.sort()
-        for sources in pred:
-            sources.sort()
         # tuple() hands a tuple back as it is, so ``empty`` stays shared
-        return cls(
-            init,
-            tuple(map(tuple, rows)),
-            tuple(map(tuple, succ)),
-            tuple(map(tuple, pred)),
-        )
+        return cls(init, tuple(map(tuple, rows)), tuple(map(tuple, succ)))
 
     @property
     def n(self) -> int:
@@ -161,8 +178,9 @@ def validate(d: Dtmc) -> bool:
 
     Returns True if the chain is stochastic, False if substochastic; raises a
     :class:`ValidationError` subclass on any violation, naming the first
-    offending entry in (src, dst) order.  Every entry outside the support
-    is zero and so in range, so only the entries ``d.succ`` lists are read.
+    offending entry in (src, dst) order, and the builders' ``TypeError`` on
+    a binary ``float`` entry.  Every entry outside the support is zero and
+    so in range, so only the entries ``d.succ`` lists are read.
     """
     n = d.n
     if not (1 <= d.init <= n):
@@ -174,6 +192,8 @@ def validate(d: Dtmc) -> bool:
         total = Fraction(0)
         for t in targets:
             p = row[t - 1]
+            if isinstance(p, float):
+                raise TypeError(f"entry ({s},{t}) is a binary float: {p!r}")
             if p < 0:
                 raise NegativeEntryError(s, t, p)
             if p > 1:

@@ -8,11 +8,11 @@ its own nested components, innermost first; a component that nothing
 enters has no entry to anchor on and is left out, since the final collapse
 of the region clears it anyway.  Its whole order is found on the input
 chain's support, the digraph of its nonzero entries, which on a valid chain
-is its positive digraph (``Dtmc.succ`` for the components and self-loops,
-``Dtmc.pred`` for each interior), reading no matrix entry: a collapse
-rewrites only its members' rows and adds transitions only onto states its
-members already fed, so every component's edges and interior are the same
-in the input as in the chain it is collapsed in.  Either sequence ends with
+is its positive digraph (``Dtmc.succ`` for the components, self-loops and
+each interior), reading no matrix entry: a collapse rewrites only its
+members' rows and adds transitions only onto states its members already
+fed, so every component's edges and interior are the same in the input as
+in the chain it is collapsed in.  Either sequence ends with
 the region only once: when the region is itself the last component listed,
 collapsing it a second time would change nothing, so it is not repeated.
 Both land on exactly the matrix obtained by collapsing the region directly,

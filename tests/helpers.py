@@ -129,6 +129,19 @@ def row_sum(d: Dtmc, s: int) -> Fraction:
     return sum((p for (src, _), p in entry_map(d).items() if src == s), Fraction(0))
 
 
+def str_of_any_length(value) -> str:
+    """``str(value)`` with the interpreter's int-string digit limit lifted,
+    if it has one."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        return str(value)
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def as_fractions(table: dict) -> dict[tuple[int, int], Fraction]:
     return {k: Fraction(v) for k, v in table.items()}
 
@@ -438,12 +451,6 @@ def prune_isolated_by_prob(d: Dtmc) -> tuple[Dtmc, dict[int, int]]:
 def succ_by_prob(d: Dtmc) -> tuple[tuple[int, ...], ...]:
     return tuple(
         tuple(t for t in d.states() if d.prob(s, t) != 0) for s in d.states()
-    )
-
-
-def pred_by_prob(d: Dtmc) -> tuple[tuple[int, ...], ...]:
-    return tuple(
-        tuple(s for s in d.states() if d.prob(s, t) != 0) for t in d.states()
     )
 
 

@@ -16,6 +16,7 @@ from helpers import (
     random_dtmc,
     random_substochastic,
     record_collapses,
+    str_of_any_length,
 )
 from pathfold.abstraction import path_abstract
 from pathfold.cli import (
@@ -233,6 +234,31 @@ def test_check_command_number_past_digit_limit_exits_1(capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert err.startswith("error: line 2: ")
+
+
+def test_parse_rejects_a_state_count_above_any_index(capsys, tmp_path):
+    # rejected on the header line before anything is allocated
+    for count in (sys.maxsize + 1, 10**20):
+        text = f"# too many states\ndtmc {count} 1\n1 1 1\n"
+        with pytest.raises(ModelSyntaxError) as info:
+            parse(text)
+        assert info.value.line == 2
+        model = tmp_path / "huge.dtmc"
+        model.write_text(text)
+        code, out, err = run(capsys, "check", str(model), "--goal", "1")
+        assert (code, out) == (1, "")
+        assert err == f"error: line 2: state count exceeds {sys.maxsize}\n"
+
+
+def test_check_command_row_sum_too_long_for_str_exits_1(capsys, tmp_path):
+    # every token is within the digit limit, but the row's sum is not
+    b, d = 10**2200 + 1, 10**2200 + 3
+    model = tmp_path / "long.dtmc"
+    model.write_text(f"dtmc 2 1\n1 1 {b - 1}/{b}\n1 2 {d - 1}/{d}\n2 2 1\n")
+    code, out, err = run(capsys, "check", str(model), "--goal", "2")
+    total = Fraction(b - 1, b) + Fraction(d - 1, d)
+    assert (code, out) == (1, "")
+    assert err == f"error: row 1 sums to {str_of_any_length(total)} > 1\n"
 
 
 def test_check_command_non_ascii_goal_exits_2(capsys):

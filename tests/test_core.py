@@ -6,7 +6,16 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import K, S0, S1, S2, entry_map, random_dtmc, random_subset
+from helpers import (
+    K,
+    S0,
+    S1,
+    S2,
+    entry_map,
+    random_dtmc,
+    random_subset,
+    str_of_any_length,
+)
 import pathfold
 from pathfold.abstraction import path_abstract, prune_isolated
 from pathfold.core import (
@@ -58,7 +67,7 @@ def test_validate_rejects_init_out_of_range():
 
 def test_validate_rejects_ragged_matrix():
     rows = ((Fraction(1), Fraction(0)), (Fraction(1),))
-    d = Dtmc(1, rows, ((1,), (1,)), ((1, 2), ()))
+    d = Dtmc(1, rows, ((1,), (1,)))
     with pytest.raises(ValidationError):
         validate(d)
 
@@ -75,7 +84,7 @@ def test_equality_hash_and_repr_ignore_the_support_lists():
     d = Dtmc.from_rows(1, rows)
     table = {(s, t): p for s, row in enumerate(rows, 1) for t, p in enumerate(row, 1)}
     same = [Dtmc.from_transitions(3, 1, table), path_abstract(d, ())]
-    raw = Dtmc(d.init, d.rows, (), ())
+    raw = Dtmc(d.init, d.rows, ())
     for other in same + [raw]:
         assert other == d and hash(other) == hash(d)
     assert "succ" not in repr(d) and "pred" not in repr(d)
@@ -168,6 +177,46 @@ def test_builders_reject_binary_floats():
     with pytest.raises(TypeError, match=r"entry \(1,2\)"):
         Dtmc.from_rows(1, [[0, 0.5], [0, 1]])
     assert validate(Dtmc.from_transitions(3, 1, {**tenths, (1, 1): "1/10"}))
+
+
+def test_validate_rejects_binary_floats_from_the_raw_constructor():
+    # the raw constructor takes rows as given, so validate checks each
+    # entry of the support and names the first float in (src, dst) order
+    d = Dtmc(1, ((0.5, 0.5), (0.0, 1.0)), ((1, 2), (2,)))
+    with pytest.raises(TypeError, match=r"^entry \(1,1\) is a binary float: 0\.5$"):
+        validate(d)
+    half = Fraction(1, 2)
+    d = Dtmc(1, ((half, half), (Fraction(0), 1.0)), ((1, 2), (2,)))
+    with pytest.raises(TypeError, match=r"^entry \(2,2\) is a binary float: 1\.0$"):
+        validate(d)
+
+
+def test_validation_errors_print_values_of_any_length():
+    # each message shows its value as str(Fraction) does, also past the
+    # interpreter's int-string digit limit
+    big = 10**5000
+    entries = [
+        (Fraction(-(big + 1), big), NegativeEntryError, "is negative"),
+        (Fraction(-big), NegativeEntryError, "is negative"),
+        (Fraction(-1, 2), NegativeEntryError, "is negative"),
+        (Fraction(big + 1, big), EntryExceedsOneError, "exceeds one"),
+        (Fraction(3, 2), EntryExceedsOneError, "exceeds one"),
+        (Fraction(2), EntryExceedsOneError, "exceeds one"),
+    ]
+    for value, error, what in entries:
+        with pytest.raises(error) as info:
+            validate(Dtmc.from_transitions(1, 1, {(1, 1): value}))
+        assert str(info.value) == f"entry (1,1) {what}: {str_of_any_length(value)}"
+        assert info.value.value == value
+    for p, total in [
+        (Fraction(big + 1, 2 * big), Fraction(big + 1, big)),
+        (Fraction(3, 4), Fraction(3, 2)),
+        (Fraction(1), Fraction(2)),
+    ]:
+        with pytest.raises(RowSumExceedsOneError) as info:
+            validate(Dtmc.from_transitions(2, 1, {(1, 1): p, (1, 2): p, (2, 2): 1}))
+        assert str(info.value) == f"row 1 sums to {str_of_any_length(total)} > 1"
+        assert info.value.total == total
 
 
 def test_pipeline_outputs_stay_in_lowest_terms():

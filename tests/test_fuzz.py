@@ -16,21 +16,25 @@ from pathfold.checker import METHODS
 from pathfold.cli import ModelFormatError, main, parse, serialize
 from pathfold.core import ValidationError
 
-# A header with a large state count still allocates n*n entries, so every
-# generated header names at most this many states.
+# A header of n states costs n-entry ``rows`` and ``succ`` tuples, and n
+# entries per row that has an entry, so every generated header names at
+# most this many states, or more than any index, which parse rejects before
+# it allocates anything.
 MAX_STATES = 40
 
 TOKENS = ["dtmc", "#", "0", "1", "2", "3", "7", "40", "1/2", "2/3", "1/3",
-          "3/2", "1/0", "0/1", "-1", "+1", "1.5", "٧", "x", "", " "]
+          "3/2", "1/0", "0/1", "-1", "+1", "1.5", "٧", "x", "", " ",
+          "99999999999999999999"]
 
 
 def _small_headers(text: str) -> bool:
     """True when no line of ``text`` could be read as a header naming more
-    than :data:`MAX_STATES` states."""
+    than :data:`MAX_STATES` states and fewer than ``2**63``."""
     for line in text.splitlines():
         tokens = line.split("#", 1)[0].split()
-        if len(tokens) == 3 and tokens[0] == "dtmc" and tokens[1].isdigit():
-            if len(tokens[1]) > 2 or int(tokens[1]) > MAX_STATES:
+        if len(tokens) == 3 and tokens[0] == "dtmc" and tokens[1].isdecimal():
+            count = int(tokens[1])
+            if (len(tokens[1]) > 2 or count > MAX_STATES) and count < 2**63:
                 return False
     return True
 
@@ -38,9 +42,11 @@ def _small_headers(text: str) -> bool:
 @st.composite
 def models(draw):
     """Model text with its state count and absorbing states: arbitrary
-    text, a valid model, or a valid model with lines of arbitrary text or
-    of format-like tokens spliced in."""
-    kind = draw(st.sampled_from(["arbitrary", "spliced", "valid", "valid", "valid"]))
+    text, a valid model, a valid model with lines of arbitrary text or of
+    format-like tokens spliced in, or one whose header names more states
+    than any index."""
+    kinds = ["arbitrary", "spliced", "huge", "valid", "valid", "valid"]
+    kind = draw(st.sampled_from(kinds))
     n = draw(st.integers(1, 8))
     if kind == "arbitrary":
         return draw(st.text(max_size=200).filter(_small_headers)), n, []
@@ -51,6 +57,8 @@ def models(draw):
         d = random_substochastic(rng, n)
         goals = [s for s in d.states() if d.prob(s, s) == 1]
     lines = serialize(d).splitlines()
+    if kind == "huge":
+        lines[0] = f"dtmc {draw(st.integers(2**63, 10**30))} {d.init}"
     if kind == "spliced":
         for _ in range(draw(st.integers(1, 3))):
             junk = draw(

@@ -1,8 +1,8 @@
 """Differential check of the layers that read ``Dtmc.rows`` and the
-support ``Dtmc.succ`` / ``Dtmc.pred`` directly against their
-entry-by-entry references, which read every entry through the
-bounds-checked ``Dtmc.prob``; and a count of the entries the graph layers
-read, which must stay linear in the transitions."""
+support ``Dtmc.succ`` directly against their entry-by-entry references,
+which read every entry through the bounds-checked ``Dtmc.prob``; and a
+count of the entries the graph layers read, which must stay linear in the
+transitions."""
 
 import random
 from fractions import Fraction
@@ -17,7 +17,6 @@ from helpers import (
     linear_system_by_prob,
     most_probable_path_by_prob,
     nested_cycle,
-    pred_by_prob,
     prune_isolated_by_prob,
     random_subset,
     reach_backward_by_prob,
@@ -124,14 +123,21 @@ def test_validate_reads_the_support_to_the_same_verdict(build, kind, seed, n, ze
         # a subset of intact rows keeps the exit system solvable; the
         # broken rows stay outside, so the collapse hands them on as read
         chain = path_abstract(chain, random_subset(rng, set(d.states()) - broken))
-    assert _graph_matches(chain)
+    # the references follow positive entries, and a negative one is not
+    assert chain.succ == succ_by_prob(chain)
+    assert kind == "negative" or _graph_matches(chain, seed)
     verdict = _verdict(validate, chain)
     assert verdict == _verdict(validate_by_prob, chain)
     assert (kind == "valid") == (not isinstance(verdict, tuple))
 
 
-def _graph_matches(d: Dtmc) -> bool:
-    return d.succ == succ_by_prob(d) and d.pred == pred_by_prob(d)
+def _graph_matches(d: Dtmc, seed: int) -> bool:
+    """``d.succ`` lists the support, and the interior and backward reach
+    derived from it match the references on a subset drawn from ``seed``."""
+    subset = random_subset(random.Random(seed), d.states())
+    return d.succ == succ_by_prob(d) and frontier(d, subset) == frontier_by_prob(
+        d, subset
+    )
 
 
 @pytest.mark.parametrize("kind", sorted(MODELS))
@@ -140,29 +146,29 @@ def _graph_matches(d: Dtmc) -> bool:
 def test_every_chain_carries_its_positive_digraph(kind, seed, n):
     rng = random.Random(seed)
     d = MODELS[kind](rng, n)
-    assert _graph_matches(d)
+    assert _graph_matches(d, seed)
     rows = [[d.prob(s, t) for t in d.states()] for s in d.states()]
-    assert _graph_matches(Dtmc.from_rows(d.init, rows))
+    assert _graph_matches(Dtmc.from_rows(d.init, rows), seed)
     # explicit zeros in the mapping must not enter the lists
     table = {(s, t): d.prob(s, t) for s in d.states() for t in d.states()}
-    assert _graph_matches(Dtmc.from_transitions(d.n, d.init, table))
+    assert _graph_matches(Dtmc.from_transitions(d.n, d.init, table), seed)
     # inserted out of order, the lists must still come out ascending
     pairs = list(table.items())
     random.Random(seed).shuffle(pairs)
-    assert _graph_matches(Dtmc.from_transitions(d.n, d.init, dict(pairs)))
+    assert _graph_matches(Dtmc.from_transitions(d.n, d.init, dict(pairs)), seed)
     zeros = [(s, t) for s in d.states() for t in d.states() if d.prob(s, t) == 0]
     parsed = parse(serialize(d) + "".join(f"{s} {t} 0\n" for s, t in zeros[:1]))
-    assert parsed == d and _graph_matches(parsed)
+    assert parsed == d and _graph_matches(parsed, seed)
     # each collapse derives its lists from the lists of the chain before
     for chain in (d, parsed):
         subsets = [random_subset(rng, d.states()) for _ in range(rng.randint(1, 3))]
         for k in range(1, len(subsets) + 1):
             collapsed = path_abstract_seq(chain, subsets[:k])
-            assert _graph_matches(collapsed)
+            assert _graph_matches(collapsed, seed)
         pruned = prune_isolated(collapsed)[0]
         # the prune hands its lists on, renumbered, and serializing the
         # pruned chain reads its entries through them alone
-        assert _graph_matches(pruned)
+        assert _graph_matches(pruned, seed)
         counted, reads = _counting_chain(pruned)
         assert serialize(counted) == serialize(pruned)
         assert reads[0] == pruned.transition_count()
@@ -210,7 +216,7 @@ def _counting_chain(d: Dtmc) -> tuple[Dtmc, list[int]]:
             reads[0] += len(self)
             return tuple.__iter__(self)
 
-    return Dtmc(d.init, tuple(Row(row) for row in d.rows), d.succ, d.pred), reads
+    return Dtmc(d.init, tuple(Row(row) for row in d.rows), d.succ), reads
 
 
 def test_graph_layers_read_entries_linear_in_the_transitions():
@@ -238,7 +244,6 @@ def test_graph_layers_read_entries_linear_in_the_transitions():
         # exactly its nonzero entries and no dense row to find them
         pruned, _ = prune_isolated(path_abstract(chain, s1))
         assert pruned.succ == succ_by_prob(pruned)
-        assert pruned.pred == pred_by_prob(pruned)
         counted, reads = _counting_chain(pruned)
         serialize(counted)
         assert reads[0] == pruned.transition_count(), (s1, reads[0])
