@@ -92,11 +92,11 @@ class Dtmc:
     ``rows`` only at nonzero entries; the layers that need a state's
     sources derive them from the lists.
 
-    ``Dtmc(init, rows, succ)`` takes ``rows`` and ``succ`` as given, and
-    they must agree: :func:`validate` does not cross-check them.
-    :meth:`from_rows` and :meth:`from_transitions` are the normalising
-    builders: they take any value :class:`Fraction` takes except a binary
-    ``float``, which raises ``TypeError``, and build the lists from them.
+    :meth:`from_transitions` is the one builder: it takes any value
+    :class:`Fraction` takes except a binary ``float``, which raises
+    ``TypeError``, and builds the lists.  ``Dtmc(init, rows, succ)`` is the
+    writers' internal form, which takes ``rows`` and ``succ`` as given:
+    they must agree, and :func:`validate` does not cross-check them.
     A collapse hands the lists on, rewriting only its members' lists, and a
     prune renumbers them.  Equality, hashing and ``repr`` look at ``init``
     and ``rows`` alone.
@@ -105,18 +105,6 @@ class Dtmc:
     init: int
     rows: tuple[tuple[Fraction, ...], ...]
     succ: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
-
-    @classmethod
-    def from_rows(cls, init: int, rows: Iterable[Iterable]) -> "Dtmc":
-        table = [list(row) for row in rows]
-        n = len(table)
-        if any(len(row) != n for row in table):
-            raise ValidationError("matrix is not square")
-        return cls.from_transitions(
-            n,
-            init,
-            {(s, t): p for s, row in enumerate(table, 1) for t, p in enumerate(row, 1)},
-        )
 
     @classmethod
     def from_transitions(

@@ -148,31 +148,27 @@ def as_fractions(table: dict) -> dict[tuple[int, int], Fraction]:
 
 def random_dtmc(rng: random.Random, n: int, max_weight: int = 6) -> Dtmc:
     """Row-normalized chain with random rational entries."""
-    rows = []
-    for _ in range(n):
+    transitions = {}
+    for s in range(1, n + 1):
         k = rng.randint(1, n)
-        targets = rng.sample(range(n), k)
+        targets = rng.sample(range(1, n + 1), k)
         weights = [rng.randint(1, max_weight) for _ in targets]
         total = sum(weights)
-        row = [Fraction(0)] * n
         for t, w in zip(targets, weights):
-            row[t] = Fraction(w, total)
-        rows.append(row)
-    return Dtmc.from_rows(rng.randint(1, n), rows)
+            transitions[s, t] = Fraction(w, total)
+    return Dtmc.from_transitions(n, rng.randint(1, n), transitions)
 
 
 def random_substochastic(rng: random.Random, n: int, max_weight: int = 6) -> Dtmc:
-    rows = []
-    for _ in range(n):
+    transitions = {}
+    for s in range(1, n + 1):
         k = rng.randint(1, n)
-        targets = rng.sample(range(n), k)
+        targets = rng.sample(range(1, n + 1), k)
         weights = [rng.randint(1, max_weight) for _ in targets]
         total = sum(weights) + rng.randint(0, max_weight)
-        row = [Fraction(0)] * n
         for t, w in zip(targets, weights):
-            row[t] = Fraction(w, total)
-        rows.append(row)
-    return Dtmc.from_rows(rng.randint(1, n), rows)
+            transitions[s, t] = Fraction(w, total)
+    return Dtmc.from_transitions(n, rng.randint(1, n), transitions)
 
 
 def random_subset(rng: random.Random, pool, allow_empty: bool = True) -> frozenset[int]:
@@ -185,12 +181,12 @@ def random_trapping(rng: random.Random, n: int) -> Dtmc:
     """Stochastic chain with a closed region that no route leaves."""
     d = random_dtmc(rng, n)
     trap = sorted(random_subset(rng, d.states(), allow_empty=False))
-    rows = [[d.prob(s, t) for t in d.states()] for s in d.states()]
+    transitions = {(s, t): p for s, t, p in d.transitions() if s not in trap}
     for s in trap:
         targets = rng.sample(trap, rng.randint(1, len(trap)))
         share = Fraction(1, len(targets))
-        rows[s - 1] = [share if t in targets else Fraction(0) for t in d.states()]
-    return Dtmc.from_rows(d.init, rows)
+        transitions.update({(s, t): share for t in targets})
+    return Dtmc.from_transitions(n, d.init, transitions)
 
 
 MODELS = {
@@ -223,11 +219,10 @@ def random_goal_model(
     truncated reachability sums).
     """
     goals = list(range(n - n_goals + 1, n + 1))
-    rows = []
+    transitions = {}
     for s in range(1, n + 1):
-        row = [Fraction(0)] * n
         if s in goals:
-            row[s - 1] = Fraction(1)
+            transitions[s, s] = 1
         else:
             k = rng.randint(1, n - 1)
             weights = {t: rng.randint(1, 3) for t in rng.sample(range(1, n + 1), k)}
@@ -238,10 +233,9 @@ def random_goal_model(
             )
             total = sum(weights.values())
             for t, w in weights.items():
-                row[t - 1] = Fraction(w, total)
-        rows.append(row)
+                transitions[s, t] = Fraction(w, total)
     init = rng.randint(1, n - n_goals)
-    return Dtmc.from_rows(init, rows), goals
+    return Dtmc.from_transitions(n, init, transitions), goals
 
 
 def random_fast_exit_instance(
@@ -256,9 +250,8 @@ def random_fast_exit_instance(
     s1 = frozenset(rng.sample(range(1, n + 1), size))
     inside = sorted(s1)
     outside = sorted(set(range(1, n + 1)) - s1)
-    rows = []
+    transitions = {}
     for s in range(1, n + 1):
-        row = [Fraction(0)] * n
         if s in s1:
             in_targets = rng.sample(inside, rng.randint(0, len(inside)))
             in_weights = {t: rng.randint(1, 3) for t in in_targets}
@@ -273,9 +266,8 @@ def random_fast_exit_instance(
             weights = {t: rng.randint(1, 3) for t in targets}
         total = sum(weights.values())
         for t, w in weights.items():
-            row[t - 1] = Fraction(w, total)
-        rows.append(row)
-    return Dtmc.from_rows(rng.randint(1, n), rows), s1
+            transitions[s, t] = Fraction(w, total)
+    return Dtmc.from_transitions(n, rng.randint(1, n), transitions), s1
 
 
 def random_acyclic_inside_instance(
@@ -285,7 +277,7 @@ def random_acyclic_inside_instance(
     edges only run towards larger state indices."""
     size = rng.randint(1, n - 1)
     s1 = frozenset(rng.sample(range(1, n + 1), size))
-    rows = []
+    transitions = {}
     for s in range(1, n + 1):
         allowed = [
             t for t in range(1, n + 1) if not (s in s1 and t in s1 and t <= s)
@@ -293,11 +285,9 @@ def random_acyclic_inside_instance(
         targets = rng.sample(allowed, rng.randint(1, len(allowed)))
         weights = [rng.randint(1, 4) for _ in targets]
         total = sum(weights)
-        row = [Fraction(0)] * n
         for t, w in zip(targets, weights):
-            row[t - 1] = Fraction(w, total)
-        rows.append(row)
-    return Dtmc.from_rows(rng.randint(1, n), rows), s1
+            transitions[s, t] = Fraction(w, total)
+    return Dtmc.from_transitions(n, rng.randint(1, n), transitions), s1
 
 
 def enumerated_walk_prob(d: Dtmc, s: int, subset, r: int, i: int) -> Fraction:
@@ -444,8 +434,8 @@ def prune_isolated_by_prob(d: Dtmc) -> tuple[Dtmc, dict[int, int]]:
         or any(d.prob(r, s) != 0 for r in d.states())
     ]
     mapping = {old: new for new, old in enumerate(keep, start=1)}
-    rows = [[d.prob(s, t) for t in keep] for s in keep]
-    return Dtmc.from_rows(mapping[d.init], rows), mapping
+    transitions = {(mapping[s], mapping[t]): d.prob(s, t) for s in keep for t in keep}
+    return Dtmc.from_transitions(len(keep), mapping[d.init], transitions), mapping
 
 
 def succ_by_prob(d: Dtmc) -> tuple[tuple[int, ...], ...]:

@@ -230,11 +230,10 @@ def test_criterion_8_robustness():
     rng = random.Random(8001)
     for _ in range(50):
         d = random_dtmc(rng, rng.randint(3, 7))
-        rows = [list(row) for row in d.rows]
         loop = rng.randint(1, d.n)  # plant a one-state trapping component
-        rows[loop - 1] = [Fraction(0)] * d.n
-        rows[loop - 1][loop - 1] = Fraction(1)
-        planted = Dtmc.from_rows(d.init, rows)
+        transitions = {(s, t): p for s, t, p in d.transitions() if s != loop}
+        transitions[loop, loop] = 1
+        planted = Dtmc.from_transitions(d.n, d.init, transitions)
         subset = random_subset(rng, planted.states(), allow_empty=False) | {loop}
         collapsed = path_abstract(planted, subset)
         validate(collapsed)

@@ -40,8 +40,10 @@ from pathfold.core import Dtmc, ValidationError, validate
 from pathfold.scc import sccs
 
 
-def _all_fractions(rows) -> bool:
-    return all(isinstance(p, Fraction) for row in rows for p in row)
+def _all_fractions(d: Dtmc) -> bool:
+    return all(
+        isinstance(d.prob(s, t), Fraction) for s in d.states() for t in d.states()
+    )
 
 
 def _all_ints(rows) -> bool:
@@ -58,7 +60,7 @@ def test_row_scans_equal_entry_by_entry_references(kind, seed, n):
     # the collapsed chain shares rows with ``d`` and has interior zeros,
     # so it exercises what a plain generated model does not
     for chain in (d, path_abstract(d, random_subset(rng, d.states()))):
-        assert _all_fractions(chain.rows)
+        assert _all_fractions(chain)
         fr = frontier(chain, subset)
         assert fr == frontier_by_prob(chain, subset)
         # exits that overlap the subset, which no frontier hands over
@@ -72,7 +74,7 @@ def test_row_scans_equal_entry_by_entry_references(kind, seed, n):
         assert _all_ints(system.b)
         pruned, mapping = prune_isolated(chain)
         assert (pruned, mapping) == prune_isolated_by_prob(chain)
-        assert _all_fractions(pruned.rows)
+        assert _all_fractions(pruned)
         assert chain.transition_count() == transition_count_by_prob(chain)
 
 
@@ -100,7 +102,7 @@ def _corrupt(rng: random.Random, table: dict, n: int, kind: str) -> None:
                 table[s, u] = Fraction(rng.randint(3, 4), 5)
 
 
-@pytest.mark.parametrize("build", ["from_rows", "from_transitions", "collapsed"])
+@pytest.mark.parametrize("build", ["from_transitions", "collapsed"])
 @pytest.mark.parametrize("kind", ["valid", "negative", "above one", "row sum", "init"])
 @settings(max_examples=60)
 @given(seed=st.integers(0, 2**32), n=st.integers(1, 8), zeros=st.booleans())
@@ -114,11 +116,7 @@ def test_validate_reads_the_support_to_the_same_verdict(build, kind, seed, n, ze
     if not zeros:  # else explicit zeros stay in the mapping
         table = {pair: p for pair, p in table.items() if p}
     init = rng.choice([0, n + 1]) if kind == "init" else d.init
-    if build == "from_rows":
-        rows = [[table.get((s, t), 0) for t in d.states()] for s in d.states()]
-        chain = Dtmc.from_rows(init, rows)
-    else:
-        chain = Dtmc.from_transitions(n, init, table)
+    chain = Dtmc.from_transitions(n, init, table)
     if build == "collapsed":
         # a subset of intact rows keeps the exit system solvable; the
         # broken rows stay outside, so the collapse hands them on as read
@@ -147,8 +145,6 @@ def test_every_chain_carries_its_positive_digraph(kind, seed, n):
     rng = random.Random(seed)
     d = MODELS[kind](rng, n)
     assert _graph_matches(d, seed)
-    rows = [[d.prob(s, t) for t in d.states()] for s in d.states()]
-    assert _graph_matches(Dtmc.from_rows(d.init, rows), seed)
     # explicit zeros in the mapping must not enter the lists
     table = {(s, t): d.prob(s, t) for s in d.states() for t in d.states()}
     assert _graph_matches(Dtmc.from_transitions(d.n, d.init, table), seed)

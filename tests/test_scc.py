@@ -56,7 +56,8 @@ def test_components_of_acyclic_chain_are_singletons():
 
 def test_components_of_complete_digraph_merge():
     third = Fraction(1, 3)
-    d = Dtmc.from_rows(1, [[third] * 3] * 3)
+    pairs = [(s, t) for s in range(1, 4) for t in range(1, 4)]
+    d = Dtmc.from_transitions(3, 1, dict.fromkeys(pairs, third))
     assert sccs(d, {1, 2, 3}) == [frozenset({1, 2, 3})]
 
 
