@@ -9,6 +9,15 @@ route set's total probability.  Reachability probabilities from the
 initial state are preserved exactly; the state space itself never changes
 (dropping states that become isolated is a separate, explicit step).
 
+Every collapse is a step of one fold, :func:`path_abstract_seq`, which
+collapses its subsets in place on one copy of the chain with one
+predecessor index and skips the states an earlier step cleared;
+:func:`path_abstract` is that fold over one subset.  A step so costs what
+its members' and exits' lists hold, and a long fold pays for the chain's
+size once.  :func:`frontier`, :func:`interior_zero` and
+:func:`reach_backward` read the same kind of index, built for the chain
+they are handed.
+
 Integers start where the exit system is assembled: each of its rows is
 scaled to integers once, from the chain's ``Fraction``s.  The solve then
 eliminates over Python ints on sparse rows: each row is combined with
@@ -27,11 +36,12 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, compress
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .core import Dtmc, DtmcError, StateSet, state_set
+
+_ZERO = Fraction(0)
 
 
 class SingularMatrixError(DtmcError):
@@ -72,73 +82,61 @@ class LinearSystem:
 
 def frontier(d: Dtmc, subset: Iterable[int]) -> FrontierSets:
     """Compute the three frontier sets for collapsing ``subset``."""
-    s1 = state_set(subset, d.n)
-    succ = d.succ
-    exits = frozenset(t for s in s1 for t in succ[s - 1] if t not in s1)
-    return FrontierSets(s1 - interior_zero(d, s1), exits, reach_backward(d, s1, exits))
+    return FrontierSets(*_Fold(d).frontier(state_set(subset, d.n)))
 
 
 def interior_zero(d: Dtmc, subset: Iterable[int]) -> StateSet:
     """Members of ``subset``, other than the initial state, that no state
     outside ``subset`` feeds: the ones a collapse of it clears."""
-    s1 = state_set(subset, d.n)
-    outside = [True] * d.n
-    for s in s1:
-        outside[s - 1] = False
-    fed = chain.from_iterable(compress(d.succ, outside))
-    return s1.difference(fed, (d.init,))
+    return _Fold(d).interior(state_set(subset, d.n))
 
 
 def reach_backward(d: Dtmc, subset: Iterable[int], exits: Iterable[int]) -> StateSet:
     """Members of ``subset`` with a positive-probability route to ``exits``
-    that stays inside ``subset`` until the final step.
-
-    The successor lists of the members that are not exits are inverted
-    once, then searched backwards from the exits: each state taken from
-    the worklist has its sources read once, and the members not reached
-    yet found there join the worklist.  So no edge is followed twice, and
-    the search stops once nothing new is reached.
-    """
+    that stays inside ``subset`` until the final step."""
     s1 = state_set(subset, d.n)
     exit_set = state_set(exits, d.n)
-    members = s1 - exit_set
-    sources: dict[int, list[int]] = {}
-    for r in members:
-        for t in d.succ[r - 1]:
-            sources.setdefault(t, []).append(r)
-    unreached = set(members)
-    todo = list(exit_set)
-    while todo and unreached:
-        found = [r for r in sources.get(todo.pop(), ()) if r in unreached]
-        unreached.difference_update(found)
-        todo += found
-    return members - unreached
+    return _Fold(d).reach(s1 - exit_set, exit_set)
 
 
-def linear_system(d: Dtmc, fr: FrontierSets) -> LinearSystem:
-    """Assemble the exact exit system for one collapse step; rows follow
-    ``sorted(fr.reaching)``, ``b``'s columns ``sorted(fr.exits)``.  Each
-    row reads only the nonzero entries ``d.succ`` lists, plus its
-    diagonal, and is scaled to integers by the lcm of the denominators of
-    the entries it keeps and of its diagonal: this is where the collapse
-    leaves ``Fraction``s behind."""
-    unknowns = sorted(fr.reaching)
-    col = {r: i for i, r in enumerate(unknowns)}
-    exit_col = {t: j for j, t in enumerate(sorted(fr.exits))}
+def linear_system(
+    rows: Sequence[tuple[Fraction, ...]],
+    succ: Sequence[tuple[int, ...]],
+    unknowns: Sequence[int],
+    exits: Sequence[int],
+) -> LinearSystem:
+    """Assemble the exact exit system of the chain with ``rows`` and
+    support ``succ`` for one collapse step: row ``i`` is state
+    ``unknowns[i]``'s and column ``j`` of ``b`` is ``exits[j]``; the two
+    must not share a state.  Each row reads only the nonzero entries
+    ``succ`` lists, plus its diagonal, and is scaled to integers by the lcm
+    of the denominators of the entries it keeps and of its diagonal: this
+    is where the collapse leaves ``Fraction``s behind."""
+    m = len(unknowns)
+    k = len(exits)
+    col = dict(zip(unknowns, range(m)))
+    col.update(zip(exits, range(m, m + k)))
     a, b = [], []
     for i, r in enumerate(unknowns):
-        row = d.rows[r - 1]
-        p = row[r - 1]
-        kept = [(t, row[t - 1]) for t in d.succ[r - 1] if t in col or t in exit_col]
-        scale = lcm(p.denominator, *[x.denominator for _, x in kept])
-        arow, brow = {}, [0] * len(exit_col)
-        for t, x in kept:
-            w = x.numerator * (scale // x.denominator)
-            if t in col:
-                arow[col[t]] = -w
+        row = rows[r - 1]
+        pn, pd = row[r - 1].as_integer_ratio()
+        kept = []
+        scale = pd
+        for t in succ[r - 1]:
+            c = col.get(t)
+            if c is not None:
+                x, d = row[t - 1].as_integer_ratio()
+                kept.append((c, x, d))
+                if scale % d:
+                    scale = lcm(scale, d)
+        arow, brow = {}, [0] * k
+        for c, x, d in kept:
+            w = x * (scale // d)
+            if c < m:
+                arow[c] = -w
             else:
-                brow[exit_col[t]] = w
-        arow[i] = (p.denominator - p.numerator) * (scale // p.denominator)
+                brow[c - m] = w
+        arow[i] = (pd - pn) * (scale // pd)
         a.append(arow)
         b.append(tuple(brow))
     return LinearSystem(tuple(a), tuple(b))
@@ -174,17 +172,19 @@ def solve_linear(
     m = len(system.a)
     wanted = range(m) if rows is None else tuple(rows)
     tail = set(wanted)
-    if any(not 0 <= r < m for r in tail):
+    if tail and not (0 <= min(tail) and max(tail) < m):
         raise ValueError(f"rows must lie in 0..{m - 1}")
-    live: dict[int, dict[int, int]] = {}
+    live: list[dict[int, int]] = []
     holders: list[set[int]] = [set() for _ in range(m)]
     for r, (arow, brow) in enumerate(zip(system.a, system.b)):
-        live[r] = row = {c: x for c, x in arow.items() if x}
-        row.update((c, x) for c, x in enumerate(brow, m) if x)
+        row = {c: x for c, x in arow.items() if x}
         for c in row:
-            if c < m:
-                holders[c].add(r)
-    heap = [(c in tail, len(holders[c]), c) for c in range(m)]
+            holders[c].add(r)
+        for c, x in enumerate(brow, m):
+            if x:
+                row[c] = x
+        live.append(row)
+    heap = [(c in tail, len(h), c) for c, h in enumerate(holders)]
     heapq.heapify(heap)
     done = [False] * m
     pivots: list[tuple[int, dict[int, int]]] = []
@@ -195,8 +195,11 @@ def solve_linear(
         if not count:
             raise SingularMatrixError(f"no pivot in column {col}")
         done[col] = True
-        p = min(holders[col], key=lambda r: (len(live[r]), r))
-        piv = live.pop(p)
+        if count == 1:
+            (p,) = holders[col]
+        else:
+            p = min(holders[col], key=lambda r: (len(live[r]), r))
+        piv = live[p]
         pivots.append((col, piv))
         touched = {c for c in piv if c < m}
         for c in touched:
@@ -283,6 +286,86 @@ def _back_substitute(
     }
 
 
+class _Fold:
+    """The chain :func:`path_abstract_seq` collapses in place: working
+    copies of ``rows`` and ``succ``, and the predecessor index, in which
+    ``pred[t - 1]`` is the set of states whose list holds ``t``."""
+
+    __slots__ = ("init", "rows", "succ", "pred", "zero_row")
+
+    def __init__(self, d: Dtmc):
+        self.init = d.init
+        self.rows = list(d.rows)
+        self.succ = list(d.succ)
+        self.zero_row = (_ZERO,) * d.n
+        self.pred: list[set[int]] = [set() for _ in d.succ]
+        for s, targets in enumerate(d.succ, 1):
+            for t in targets:
+                self.pred[t - 1].add(s)
+
+    def interior(self, s1: StateSet) -> StateSet:
+        """Members of ``s1``, other than the initial state, that no state
+        outside ``s1`` feeds."""
+        pred, init = self.pred, self.init
+        return frozenset(s for s in s1 if s != init and pred[s - 1] <= s1)
+
+    def reach(self, members: StateSet, exits: Iterable[int]) -> StateSet:
+        """Members with a route to ``exits`` that stays among ``members``
+        until the final step: a backward search over the index, in which
+        each state taken from the worklist hands on the members not reached
+        yet among its predecessors."""
+        pred = self.pred
+        unreached = set(members)
+        todo = list(exits)
+        while todo and unreached:
+            found = pred[todo.pop() - 1] & unreached
+            unreached -= found
+            todo += found
+        return members - unreached
+
+    def frontier(self, s1: StateSet) -> tuple[StateSet, StateSet, StateSet]:
+        """Entries, exits and reaching set of ``s1``, as in
+        :class:`FrontierSets`.  They are read off the members that are not
+        skipped alone: a skipped member feeds no state and no state feeds
+        it, so no other member's predecessors or successors hold it."""
+        succ, pred, init = self.succ, self.pred, self.init
+        live = frozenset(s for s in s1 if succ[s - 1] or pred[s - 1] or s == init)
+        exits = frozenset(t for s in live for t in succ[s - 1] if t not in live)
+        return live - self.interior(live), exits, self.reach(live, exits)
+
+    def collapse(self, subset: Iterable[int]) -> None:
+        """Collapse ``subset`` in place, as :func:`path_abstract` describes."""
+        rows, succ, pred = self.rows, self.succ, self.pred
+        n = len(rows)
+        s1 = state_set(subset, n)
+        entries, exits, reaching = self.frontier(s1)
+        unknowns = sorted(reaching)
+        outs = sorted(exits)
+        at = [i for i, s in enumerate(unknowns) if s in entries]
+        solved = solve_linear(linear_system(rows, succ, unknowns, outs), at) if at else ()
+        for s in s1:
+            if succ[s - 1]:
+                for t in succ[s - 1]:
+                    pred[t - 1].discard(s)
+                rows[s - 1] = self.zero_row
+                succ[s - 1] = ()
+        for i, probs in zip(at, solved):
+            s = unknowns[i]
+            row = [_ZERO] * n
+            targets = []
+            for t, p in zip(outs, probs):
+                if p:
+                    row[t - 1] = p
+                    targets.append(t)
+                    pred[t - 1].add(s)
+            rows[s - 1] = tuple(row)
+            succ[s - 1] = tuple(targets)
+
+    def chain(self) -> Dtmc:
+        """The chain as the collapses so far have left it."""
+        return Dtmc(self.init, tuple(self.rows), tuple(self.succ))
+
+
 def path_abstract(d: Dtmc, subset: Iterable[int]) -> Dtmc:
     """Collapse ``subset``: interior states lose all their transitions,
     entry states gain direct transitions onto the exits carrying the total
@@ -293,39 +376,30 @@ def path_abstract(d: Dtmc, subset: Iterable[int]) -> Dtmc:
     say) silently drops the trapped mass and leaves the result
     substochastic; that is intended, not an error.
 
-    The new chain's support is derived from ``d``'s: only the members'
-    successor lists are rewritten.
+    This is the fold of :func:`path_abstract_seq` over the one subset, so
+    the new chain shares every row and successor list of ``d`` outside the
+    subset.
     """
-    s1 = state_set(subset, d.n)
-    fr = frontier(d, s1)
-    zero = Fraction(0)
-    zero_row = (zero,) * d.n
-    # No outside row feeds an interior state, so outside rows stay as they are.
-    rows = list(d.rows)
-    succ = list(d.succ)
-    for s in s1:
-        rows[s - 1] = zero_row
-        succ[s - 1] = ()
-    sources = sorted(fr.entries & fr.reaching)
-    if sources:
-        index = {s: i for i, s in enumerate(sorted(fr.reaching))}
-        q = solve_linear(linear_system(d, fr), [index[s] for s in sources])
-        exits = sorted(fr.exits)
-        for s, probs in zip(sources, q):
-            row = [zero] * d.n
-            for t, p in zip(exits, probs):
-                row[t - 1] = p
-            rows[s - 1] = tuple(row)
-            succ[s - 1] = tuple(t for t, p in zip(exits, probs) if p.numerator)
-    return Dtmc(d.init, tuple(rows), tuple(succ))
+    return path_abstract_seq(d, [subset])
 
 
 def path_abstract_seq(d: Dtmc, subsets: Iterable[Iterable[int]]) -> Dtmc:
-    """Fold :func:`path_abstract` over ``subsets``, left to right."""
-    current = d
+    """Collapse ``subsets`` one after another, left to right, as
+    :func:`path_abstract` would one call at a time.
+
+    The fold works on one mutable copy of ``d``'s rows and successor lists
+    and one predecessor index, all built once, and freezes one chain at
+    the end.  Each collapse reads its entries, exits and backward reach off
+    the index, skips the members an earlier collapse cleared (no row, no
+    predecessor, not the initial state), and rewrites only the rows, lists
+    and index entries of the members it changes.  So after the set-up a
+    collapse costs what its members' and exits' lists hold, not what the
+    chain holds.
+    """
+    fold = _Fold(d)
     for subset in subsets:
-        current = path_abstract(current, subset)
-    return current
+        fold.collapse(subset)
+    return fold.chain()
 
 
 def prune_isolated(d: Dtmc) -> tuple[Dtmc, dict[int, int]]:

@@ -8,11 +8,15 @@ its own nested components, innermost first; a component that nothing
 enters has no entry to anchor on and is left out, since the final collapse
 of the region clears it anyway.  Its whole order is found on the input
 chain's support, the digraph of its nonzero entries, which on a valid chain
-is its positive digraph (``Dtmc.succ`` for the components, self-loops and
-each interior), reading no matrix entry: a collapse rewrites only its
-members' rows and adds transitions only onto states its members already
-fed, so every component's edges and interior are the same in the input as
-in the chain it is collapsed in.  Either sequence ends with
+is its positive digraph, reading no matrix entry: ``Dtmc.succ`` gives the
+components and self-loops, and one predecessor index of the kind the fold
+keeps, built once per call, gives each interior from the predecessors of
+the component's own states.  A collapse rewrites only its members' rows
+and adds transitions only onto states its members already fed, so every
+component's edges and interior are the same in the input as in the chain
+it is collapsed in.  The fold skips the states a nested component's
+collapse cleared when it meets them again in the components around it.
+Either sequence ends with
 the region only once: when the region is itself the last component listed,
 collapsing it a second time would change nothing, so it is not repeated.
 Both land on exactly the matrix obtained by collapsing the region directly,
@@ -32,7 +36,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .abstraction import interior_zero, path_abstract_seq
+from .abstraction import _Fold, path_abstract_seq
 from .core import Dtmc, StateSet, state_set
 
 
@@ -125,15 +129,18 @@ def abstract_recursive(d: Dtmc, subset: Iterable[int]) -> Dtmc:
     The recursive twin of :func:`abstract_via_sccs`, with the same result
     as collapsing ``subset`` in one go.  A component equal to its own
     interior has no entry state and is skipped; a nested component always
-    has one, since the component around it feeds it.  The order is gathered
+    has one, since the component around it feeds it.  Interiors are read
+    off one predecessor index of ``d``, so each costs the predecessors of
+    its component's states, not a scan of the chain.  The order is gathered
     with an explicit stack, so nesting depth costs no recursion.
     """
     s1 = state_set(subset, d.n)
+    index = _Fold(d)
     outermost_first = []
     todo = nontrivial_sccs(d, s1)
     while todo:
         comp = todo.pop()
-        interior = interior_zero(d, comp)
+        interior = index.interior(comp)
         if interior != comp:
             outermost_first.append(comp)
             todo += nontrivial_sccs(d, interior)

@@ -15,7 +15,12 @@ from pathlib import Path
 import pathfold
 from oracle import path_prob
 from pathfold import abstraction
-from pathfold.abstraction import FrontierSets, LinearSystem, SingularMatrixError
+from pathfold.abstraction import (
+    FrontierSets,
+    LinearSystem,
+    SingularMatrixError,
+    linear_system,
+)
 from pathfold.core import (
     Dtmc,
     EntryExceedsOneError,
@@ -416,6 +421,12 @@ def frontier_by_prob(d: Dtmc, subset) -> FrontierSets:
     return FrontierSets(s1 - interior, exits, reaching)
 
 
+def exit_system(d: Dtmc, fr: FrontierSets) -> LinearSystem:
+    """:func:`linear_system` over ``fr``'s reaching set and exits, sorted, as
+    a collapse of ``d`` assembles it."""
+    return linear_system(d.rows, d.succ, sorted(fr.reaching), sorted(fr.exits))
+
+
 def linear_system_by_prob(d: Dtmc, fr: FrontierSets) -> LinearSystem:
     u = sorted(fr.reaching)
     exits = sorted(fr.exits)
@@ -606,18 +617,15 @@ def _nested_order(d: Dtmc, comp) -> list[frozenset[int]]:
 
 
 def record_collapses(monkeypatch) -> list[frozenset[int]]:
-    """Bind a recording ``path_abstract`` under every name the collapse is
-    bound under in the package, as the bench tracer wraps it; return the
-    list each call appends its subset to."""
-    original = abstraction.path_abstract
+    """Wrap the collapse step of the package's one fold, which every
+    collapse goes through; return the list each step appends its subset
+    to, as it was handed over."""
+    original = abstraction._Fold.collapse
     subsets = []
 
-    def recording(d, subset):
+    def recording(fold, subset):
         subsets.append(frozenset(subset))
-        return original(d, subset)
+        return original(fold, subsets[-1])
 
-    package = [m for name, m in sys.modules.items() if name.split(".")[0] == "pathfold"]
-    for module in package:
-        if vars(module).get("path_abstract") is original:
-            monkeypatch.setattr(module, "path_abstract", recording)
+    monkeypatch.setattr(abstraction._Fold, "collapse", recording)
     return subsets

@@ -15,6 +15,7 @@ from helpers import (
     as_fractions,
     entry_map,
     enumerated_walk_prob,
+    exit_system,
     random_dtmc,
     random_subset,
     row_sum,
@@ -26,7 +27,6 @@ from pathfold.abstraction import (
     SingularMatrixError,
     frontier,
     interior_zero,
-    linear_system,
     path_abstract,
     path_abstract_seq,
     prune_isolated,
@@ -105,7 +105,7 @@ def test_solve_scalar_division():
 
 def test_solve_worked_example_return_mass(me):
     fr = frontier(me, S1)
-    q = solve_linear(linear_system(me, fr))
+    q = solve_linear(exit_system(me, fr))
     # reaching = [2, 5, 6], exits = [3, 8]
     assert q[0] == (Fraction(4, 5), Fraction(1, 5))
 

@@ -1,21 +1,28 @@
 """Metamorphic relations: renumbering the states of a chain, its initial
-state included, renumbers every result and changes no probability.  The
-relations need no oracle, so they run on chains of any size, and they
-catch what a small oracle misses: a special case for one state number, or
-a tie-break that leaks into a value."""
+state included, renumbers every result and changes no probability; and a
+fold along any sequence of subsets that ends in ``k`` lands where the one
+collapse of ``k`` does.  The relations need no oracle, so they run on
+chains of any size, and they catch what a small oracle misses: a special
+case for one state number, a tie-break that leaks into a value, or a step
+that goes wrong only after many others."""
 
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import MODELS, nested_cycle, random_goal_model, random_subset
-from pathfold.abstraction import path_abstract, prune_isolated
+from pathfold.abstraction import path_abstract, path_abstract_seq, prune_isolated
 from pathfold.checker import METHODS, model_check, refine
 from pathfold.core import Dtmc, non_absorbing
 from pathfold.scc import sccs
+
+sys.path.append(str(Path(__file__).resolve().parents[1] / "bench"))
+import families  # noqa: E402
 
 
 def _permutation(rng: random.Random, d: Dtmc) -> dict[int, int]:
@@ -107,3 +114,39 @@ def test_relabelling_nested_cycles(seed, depth):
     _assert_relabelling_commutes(
         random.Random(seed), nested_cycle(depth), [depth + 2, depth + 3]
     )
+
+
+def _bench_chain(family: str) -> Dtmc:
+    if family == "nested cycle 150":
+        return nested_cycle(150)
+    case = (
+        families.ladder(5, 0, 40)
+        if family == "ladder 40"
+        else families.random_chain(5, 0, 120)
+    )
+    return Dtmc.from_transitions(case.n, case.init, case.entries)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("family", ["ladder 40", "random 120", "nested cycle 150"])
+def test_any_sequence_ending_in_k_lands_on_the_collapse_of_k(family, seed):
+    # PAPER.md's theorem at the benchmark's scale: runs of neighbouring
+    # states and scattered samples of ``k``, some repeated and most
+    # overlapping, then ``k`` itself
+    d = _bench_chain(family)
+    k = non_absorbing(d)
+    rng = random.Random(seed)
+    pool = sorted(k)
+    subsets = []
+    for _ in range(16):
+        roll = rng.random()
+        if subsets and roll < 0.2:
+            subsets.append(subsets[-1])
+        elif roll < 0.6:
+            start = rng.randrange(len(pool))
+            subsets.append(frozenset(pool[start : start + rng.randint(1, 40)]))
+        else:
+            subsets.append(frozenset(rng.sample(pool, rng.randint(0, 12))))
+    direct = path_abstract(d, k)
+    folded = path_abstract_seq(d, [*subsets, k])
+    assert folded == direct and folded.succ == direct.succ

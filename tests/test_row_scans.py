@@ -13,6 +13,9 @@ from hypothesis import strategies as st
 
 from helpers import (
     MODELS,
+    collapse_sequence,
+    entry_map,
+    exit_system,
     frontier_by_prob,
     linear_system_by_prob,
     most_probable_path_by_prob,
@@ -25,10 +28,10 @@ from helpers import (
     transition_count_by_prob,
     validate_by_prob,
 )
+from pathfold import abstraction
 from pathfold.abstraction import (
     frontier,
     interior_zero,
-    linear_system,
     path_abstract,
     path_abstract_seq,
     prune_isolated,
@@ -68,7 +71,7 @@ def test_row_scans_equal_entry_by_entry_references(kind, seed, n):
         assert reach_backward(chain, subset, exits) == reach_backward_by_prob(
             chain, subset, exits
         )
-        system = linear_system(chain, fr)
+        system = exit_system(chain, fr)
         assert system == linear_system_by_prob(chain, fr)
         assert _all_ints(row.values() for row in system.a)
         assert _all_ints(system.b)
@@ -199,20 +202,33 @@ def test_graph_walks_equal_entry_by_entry_references(kind, seed, n):
 
 
 def _counting_chain(d: Dtmc) -> tuple[Dtmc, list[int]]:
-    """``d`` built directly over rows that count the entries read from them,
-    by index or by iteration."""
-    reads = [0]
+    """``d`` built directly over rows and successor lists that count the
+    elements read from them, by index, by iteration or by a membership
+    test: ``reads[0]`` counts row entries, ``reads[1]`` list elements.
+    Rows ``d`` shares stay shared."""
+    reads = [0, 0]
 
-    class Row(tuple):
-        def __getitem__(self, i):
-            reads[0] += 1
-            return tuple.__getitem__(self, i)
+    def counting(k: int) -> type:
+        class Counted(tuple):
+            def __getitem__(self, i):
+                reads[k] += 1
+                return tuple.__getitem__(self, i)
 
-        def __iter__(self):
-            reads[0] += len(self)
-            return tuple.__iter__(self)
+            def __iter__(self):
+                reads[k] += len(self)
+                return tuple.__iter__(self)
 
-    return Dtmc(d.init, tuple(Row(row) for row in d.rows), d.succ), reads
+            def __contains__(self, x):
+                reads[k] += len(self)
+                return tuple.__contains__(self, x)
+
+        return Counted
+
+    row, targets = counting(0), counting(1)
+    distinct = {id(r): r for r in d.rows}
+    wrapped = {key: row(r) for key, r in distinct.items()}
+    rows = tuple(wrapped[id(r)] for r in d.rows)
+    return Dtmc(d.init, rows, tuple(map(targets, d.succ))), reads
 
 
 def test_graph_layers_read_entries_linear_in_the_transitions():
@@ -243,3 +259,39 @@ def test_graph_layers_read_entries_linear_in_the_transitions():
         counted, reads = _counting_chain(pruned)
         serialize(counted)
         assert reads[0] == pruned.transition_count(), (s1, reads[0])
+
+
+def _step_reads(d: Dtmc, subsets) -> list[tuple[int, int]]:
+    """Row entries and list elements each step of a fold of ``d`` along
+    ``subsets`` reads, the fold's set-up left out."""
+    chain, reads = _counting_chain(d)
+    steps = []
+    collapse = abstraction._Fold.collapse
+
+    def counted(fold, subset):
+        before = tuple(reads)
+        collapse(fold, subset)
+        steps.append((reads[0] - before[0], reads[1] - before[1]))
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(abstraction._Fold, "collapse", counted)
+        path_abstract_seq(chain, subsets)
+    return steps
+
+
+def test_fold_steps_read_what_they_touch_not_the_chain():
+    # 10 000 states that nothing enters or leaves change no step's reads:
+    # a step reads its members' and exits' rows and lists, not all n
+    d = nested_cycle(60)
+    padded = Dtmc.from_transitions(d.n + 10_000, d.init, entry_map(d))
+    subsets = collapse_sequence(d, "recursive")
+    steps = _step_reads(d, subsets)
+    assert len(steps) == len(subsets) == 60
+    assert _step_reads(padded, subsets) == steps
+    # each step reads its members' lists a bounded number of times, and
+    # no more than that: the levels a step clears cost it nothing later
+    chain = d
+    for s1, (rows, lists) in zip(subsets, steps):
+        held = sum(len(chain.succ[s - 1]) for s in s1)
+        assert 0 < rows + lists <= 4 * (held + len(s1)), (sorted(s1), rows, lists)
+        chain = path_abstract(chain, s1)

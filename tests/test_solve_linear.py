@@ -17,6 +17,7 @@ from helpers import (
     MODELS,
     S1,
     entry_map,
+    exit_system,
     gauss_jordan_solve,
     random_goal_model,
     random_subset,
@@ -27,7 +28,6 @@ from pathfold.abstraction import (
     LinearSystem,
     SingularMatrixError,
     frontier,
-    linear_system,
     path_abstract,
     solve_linear,
 )
@@ -157,7 +157,7 @@ def test_solve_linear_on_exit_systems_equals_gauss_jordan(kind, seed, n):
     # system as it found it.
     rng = random.Random(seed)
     d = EXIT_SYSTEM_MODELS[kind](rng, n)
-    system = linear_system(d, frontier(d, random_subset(rng, d.states())))
+    system = exit_system(d, frontier(d, random_subset(rng, d.states())))
     m = len(system.a)
     rows = rng.sample(range(m), rng.randint(0, m))
     before = copy.deepcopy(system)
@@ -197,7 +197,7 @@ def test_worked_example_exit_system_is_integer_rows(me):
     # of its kept entries' denominators and its diagonal's: 3, 1 and 4
     fr = frontier(me, S1)
     with _counting_fractions() as built:
-        system = linear_system(me, fr)
+        system = exit_system(me, fr)
     assert built[0] == 0
     assert system == LinearSystem(
         ({0: 3, 1: -1}, {1: 1, 2: -1}, {0: -1, 1: -2, 2: 4}),
@@ -213,7 +213,7 @@ def test_exit_system_builds_no_fraction_and_solve_one_per_entry(kind, seed, n):
     d = EXIT_SYSTEM_MODELS[kind](rng, n)
     fr = frontier(d, random_subset(rng, d.states()))
     with _counting_fractions() as built:
-        system = linear_system(d, fr)
+        system = exit_system(d, fr)
     assert built[0] == 0
     m = len(system.a)
     rows = rng.sample(range(m), rng.randint(0, m))

@@ -11,6 +11,9 @@ process (each call swaps its modules into ``sys.modules``) and calls both
   read-only), with the calls the benchmark makes on them;
 * the 12-block ladder the benchmark's refine-ladder workload runs, with its
   two calls;
+* long folds: nested cycles 40 and 120 levels deep under each method, and
+  a 40-block ladder with the benchmark's two calls and ``check --method
+  scc``;
 * lattices whose routes all tie, through ``refine --concretize``;
 * the random models and nested cycles of ``tests/helpers.py``;
 * the worked 8-state example;
@@ -145,6 +148,22 @@ def _tied_routes(k: int) -> list[Call]:
     return [Call(f"tied-routes-{k}", text, argv) for argv in argvs]
 
 
+def _long_folds() -> list[Call]:
+    """Calls whose collapses run along sequences of 40 to 120 subsets."""
+    calls = []
+    for depth in (40, 120):
+        d = helpers.nested_cycle(depth)
+        text = _text(d.n, d.init, d.transitions())
+        goals = f"{depth + 2},{depth + 3}"
+        for method in METHODS:
+            argv = ("check", FILE, "--goal", goals, "--method", method)
+            calls.append(Call(f"nested-{depth}", text, argv))
+    ladder = families.ladder(SEED, 6, 40)
+    goals = f"{ladder.params['fail']},{ladder.params['goal']}"
+    argvs = [*ladder.calls, ("check", FILE, "--goal", goals, "--method", "scc")]
+    return calls + [Call(ladder.name, ladder.text(), argv) for argv in argvs]
+
+
 def _worked_example() -> list[Call]:
     text = (ROOT / "tests" / "data" / "example8.dtmc").read_text()
     argvs = []
@@ -215,6 +234,7 @@ def build_calls() -> list[Call]:
         calls += _model_calls(rng, name, d)
     ladder = families.ladder(SEED, 5, 12)
     calls += [Call(ladder.name, ladder.text(), call) for call in ladder.calls]
+    calls += _long_folds()
     for k in (3, 5, 7):
         calls += _tied_routes(k)
     return calls + _worked_example() + _invalid()
