@@ -37,7 +37,7 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import AbstractSet, Iterable, Sequence
 
 from .core import Dtmc, DtmcError, StateSet, state_set
 
@@ -82,7 +82,7 @@ class LinearSystem:
 
 def frontier(d: Dtmc, subset: Iterable[int]) -> FrontierSets:
     """Compute the three frontier sets for collapsing ``subset``."""
-    return FrontierSets(*_Fold(d).frontier(state_set(subset, d.n)))
+    return FrontierSets(*map(frozenset, _Fold(d).frontier(state_set(subset, d.n))))
 
 
 def interior_zero(d: Dtmc, subset: Iterable[int]) -> StateSet:
@@ -109,9 +109,11 @@ def linear_system(
     support ``succ`` for one collapse step: row ``i`` is state
     ``unknowns[i]``'s and column ``j`` of ``b`` is ``exits[j]``; the two
     must not share a state.  Each row reads only the nonzero entries
-    ``succ`` lists, plus its diagonal, and is scaled to integers by the lcm
-    of the denominators of the entries it keeps and of its diagonal: this
-    is where the collapse leaves ``Fraction``s behind."""
+    ``succ`` lists and is scaled to integers by the lcm of the denominators
+    of the entries it keeps: this is where the collapse leaves
+    ``Fraction``s behind.  A self-loop is one of those entries, so the
+    diagonal, ``1 - p`` for a loop of ``p``, is written last, over the
+    loop's own entry."""
     m = len(unknowns)
     k = len(exits)
     col = dict(zip(unknowns, range(m)))
@@ -119,9 +121,8 @@ def linear_system(
     a, b = [], []
     for i, r in enumerate(unknowns):
         row = rows[r - 1]
-        pn, pd = row[r - 1].as_integer_ratio()
         kept = []
-        scale = pd
+        scale = 1
         for t in succ[r - 1]:
             c = col.get(t)
             if c is not None:
@@ -136,7 +137,7 @@ def linear_system(
                 arow[c] = -w
             else:
                 brow[c - m] = w
-        arow[i] = (pd - pn) * (scale // pd)
+        arow[i] = scale + arow.get(i, 0)
         a.append(arow)
         b.append(tuple(brow))
     return LinearSystem(tuple(a), tuple(b))
@@ -177,12 +178,16 @@ def solve_linear(
     live: list[dict[int, int]] = []
     holders: list[set[int]] = [set() for _ in range(m)]
     for r, (arow, brow) in enumerate(zip(system.a, system.b)):
-        row = {c: x for c, x in arow.items() if x}
-        for c in row:
-            holders[c].add(r)
-        for c, x in enumerate(brow, m):
+        row = {}
+        for c, x in arow.items():
             if x:
                 row[c] = x
+                holders[c].add(r)
+        c = m
+        for x in brow:
+            if x:
+                row[c] = x
+            c += 1
         live.append(row)
     heap = [(c in tail, len(h), c) for c, h in enumerate(holders)]
     heapq.heapify(heap)
@@ -198,19 +203,21 @@ def solve_linear(
         if count == 1:
             (p,) = holders[col]
         else:
-            p = min(holders[col], key=lambda r: (len(live[r]), r))
+            p = min([(len(live[r]), r) for r in holders[col]])[1]
         piv = live[p]
         pivots.append((col, piv))
-        touched = {c for c in piv if c < m}
-        for c in touched:
-            holders[c].discard(p)
+        touched = set()
+        for c in piv:
+            if c < m:
+                holders[c].discard(p)
+                touched.add(c)
         for r in list(holders[col]):
             _cancel(live[r], r, piv, col, holders, touched)
         for c in touched:
             if not done[c]:
                 heapq.heappush(heap, (c in tail, len(holders[c]), c))
     solved = _back_substitute(pivots[m - len(tail):], m, len(system.b[0]) if m else 0)
-    return tuple(solved[i] for i in wanted)
+    return tuple([solved[i] for i in wanted])
 
 
 def _cancel(
@@ -267,23 +274,34 @@ def _back_substitute(
     Each pivot row refers only to its own column and to columns pivoted
     after it.  A column's solution is held as numerators over one common
     denominator, of either sign; the right-hand side starts at column ``m``.
+    Returns each pivot column's solution as ``Fraction``s.
     """
     dens: dict[int, int] = {}
     nums: dict[int, list[int]] = {}
+    solved: dict[int, tuple[Fraction, ...]] = {}
     for col, row in reversed(pivots):
-        later = [(c, x) for c, x in row.items() if c < m and c != col]
-        common = lcm(*(dens[c] for c, _ in later))
-        acc = [row.get(m + j, 0) * common for j in range(k)]
+        later = []
+        common = 1
+        for c, x in row.items():
+            if c < m and c != col:
+                later.append((c, x))
+                if common % dens[c]:
+                    common = lcm(common, dens[c])
+        acc = [row.get(c, 0) for c in range(m, m + k)]
+        if common != 1:
+            acc = [a * common for a in acc]
         for c, x in later:
             w = x * (common // dens[c])
             acc = [a - w * y for a, y in zip(acc, nums[c])]
         den = row[col] * common
         g = gcd(den, *acc)
-        dens[col] = den // g
-        nums[col] = [a // g for a in acc]
-    return {
-        col: tuple(Fraction(a, den) for a in nums[col]) for col, den in dens.items()
-    }
+        if g != 1:
+            den //= g
+            acc = [a // g for a in acc]
+        dens[col] = den
+        nums[col] = acc
+        solved[col] = tuple([Fraction(a, den) for a in acc])
+    return solved
 
 
 class _Fold:
@@ -309,7 +327,7 @@ class _Fold:
         pred, init = self.pred, self.init
         return frozenset(s for s in s1 if s != init and pred[s - 1] <= s1)
 
-    def reach(self, members: StateSet, exits: Iterable[int]) -> StateSet:
+    def reach(self, members: AbstractSet[int], exits: Iterable[int]) -> AbstractSet[int]:
         """Members with a route to ``exits`` that stays among ``members``
         until the final step: a backward search over the index, in which
         each state taken from the worklist hands on the members not reached
@@ -323,15 +341,26 @@ class _Fold:
             todo += found
         return members - unreached
 
-    def frontier(self, s1: StateSet) -> tuple[StateSet, StateSet, StateSet]:
+    def frontier(self, s1: StateSet) -> tuple[AbstractSet[int], ...]:
         """Entries, exits and reaching set of ``s1``, as in
         :class:`FrontierSets`.  They are read off the members that are not
         skipped alone: a skipped member feeds no state and no state feeds
-        it, so no other member's predecessors or successors hold it."""
+        it, so no other member's predecessors or successors hold it.  The
+        entries are the live members that are the initial state or have a
+        predecessor outside the live ones."""
         succ, pred, init = self.succ, self.pred, self.init
-        live = frozenset(s for s in s1 if succ[s - 1] or pred[s - 1] or s == init)
-        exits = frozenset(t for s in live for t in succ[s - 1] if t not in live)
-        return live - self.interior(live), exits, self.reach(live, exits)
+        live = set()
+        for s in s1:
+            if succ[s - 1] or pred[s - 1] or s == init:
+                live.add(s)
+        entries = set()
+        exits = set()
+        for s in live:
+            if s == init or not pred[s - 1] <= live:
+                entries.add(s)
+            exits.update(succ[s - 1])
+        exits -= live
+        return entries, exits, self.reach(live, exits)
 
     def collapse(self, subset: Iterable[int]) -> None:
         """Collapse ``subset`` in place, as :func:`path_abstract` describes."""

@@ -1,12 +1,15 @@
 """Differential check of the sparse integer solver against the dense
 Gauss-Jordan oracle, on raw linear systems, for chosen solution rows and
-through the collapse, plus a bound on the solver's fill-in and a count of
-the ``Fraction``s the exit system and its solve build."""
+through the collapse, plus a bound on the solver's fill-in, a fixed count
+of its row combinations and a count of the ``Fraction``s the exit system
+and its solve build."""
 
 import contextlib
 import copy
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -31,6 +34,10 @@ from pathfold.abstraction import (
     path_abstract,
     solve_linear,
 )
+from pathfold.core import Dtmc
+
+sys.path.append(str(Path(__file__).resolve().parents[1] / "bench"))
+import families  # noqa: E402
 
 ZERO = Fraction(0)
 
@@ -108,6 +115,29 @@ def test_solve_linear_rows_equal_gauss_jordan_rows(data):
     )
 
 
+@settings(max_examples=200)
+@given(st.data())
+def test_solve_linear_reads_any_sequence_of_rows_once(data):
+    # ``rows`` may repeat an index, be a generator that can be read only
+    # once, a ``range`` or empty: each asks for the rows ``list(rows)``
+    # lists, in that order, and none changes the caller's system
+    system = data.draw(systems())
+    m = len(system.a)
+    picks = data.draw(st.lists(st.integers(0, m - 1), max_size=m))
+    start = data.draw(st.integers(0, m))
+    stop = data.draw(st.integers(start, m))
+    for make in (
+        lambda: [*picks, *picks],
+        lambda: (i for i in picks),
+        lambda: range(start, stop),
+        list,
+    ):
+        before = copy.deepcopy(system)
+        got = _outcome(lambda s: solve_linear(s, make()), system)
+        assert system == before
+        assert got == _outcome(lambda s: gauss_jordan_solve(s, list(make())), system)
+
+
 def test_solve_linear_rows_must_be_unknowns():
     system = system_from_dense([[Fraction(1)]], [[Fraction(1, 2)]])
     assert solve_linear(system, [0]) == ((Fraction(1, 2),),)
@@ -139,6 +169,33 @@ def test_arrow_system_fills_nothing_in(rows):
     with mock.patch.object(abstraction, "_cancel", wraps=abstraction._cancel) as cancel:
         got = solve_linear(system) if rows is None else solve_linear(system, rows)
     assert cancel.call_count <= m
+    assert got == gauss_jordan_solve(system, rows)
+
+
+def _random_chain_exit_system():
+    """The exit system of a direct collapse of a seeded 50-state bench
+    chain: its 48 non-goal states all reach a goal, and row 0 is its one
+    entry, the initial state."""
+    case = families.random_chain(1, 0, 50)
+    d = Dtmc.from_transitions(case.n, case.init, case.entries)
+    return exit_system(d, frontier(d, range(1, 49)))
+
+
+@pytest.mark.parametrize(
+    ("system", "rows", "cancels"),
+    [
+        (_arrow(40), None, 39),
+        (_random_chain_exit_system(), [0], 189),
+        (_random_chain_exit_system(), None, 183),
+    ],
+    ids=["arrow 40", "random 50 entry", "random 50 all"],
+)
+def test_elimination_makes_a_fixed_number_of_row_combinations(system, rows, cancels):
+    # The pivot rule fixes how many rows are combined; a rewrite that keeps
+    # every result but changes the rule, or its tie-break, changes the count
+    with mock.patch.object(abstraction, "_cancel", wraps=abstraction._cancel) as cancel:
+        got = solve_linear(system, rows)
+    assert cancel.call_count == cancels
     assert got == gauss_jordan_solve(system, rows)
 
 
