@@ -34,10 +34,9 @@ collapse reads last, so that back substitution touches only those.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import AbstractSet, Iterable, Sequence
+from typing import AbstractSet, Iterable, NamedTuple, Sequence
 
 from .core import Dtmc, DtmcError, StateSet, state_set
 
@@ -49,8 +48,7 @@ class SingularMatrixError(DtmcError):
     produced by :func:`reach_backward`."""
 
 
-@dataclass(frozen=True)
-class FrontierSets:
+class FrontierSets(NamedTuple):
     """The three state sets steering one collapse step.
 
     ``entries``
@@ -67,8 +65,7 @@ class FrontierSets:
     reaching: StateSet
 
 
-@dataclass(frozen=True)
-class LinearSystem:
+class LinearSystem(NamedTuple):
     """``a @ q = b`` over the reaching set: ``a`` is ``I - P`` there and ``b``
     holds the one-step exit probabilities, so row ``i`` of ``q`` is reaching
     state ``i``'s probability of leaving through each exit.  Each row of

@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import pairwise
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .abstraction import path_abstract
 from .core import Dtmc, DtmcError, StateSet, non_absorbing, state_set
@@ -33,14 +32,12 @@ class NotAPathError(DtmcError):
     """The given word is not a positive-probability path where required."""
 
 
-@dataclass(frozen=True)
-class ReachabilityResult:
+class ReachabilityResult(NamedTuple):
     per_goal: dict[int, Fraction]
     total: Fraction
 
 
-@dataclass(frozen=True)
-class RefinementStep:
+class RefinementStep(NamedTuple):
     """One collapse step: the subset used, the chain it produced, and the
     best single witness in that chain."""
 
@@ -50,8 +47,7 @@ class RefinementStep:
     witness_prob: Fraction
 
 
-@dataclass(frozen=True)
-class RefinementReport:
+class RefinementReport(NamedTuple):
     violated: bool
     witness_path: Word | None
     witness_prob: Fraction

@@ -9,7 +9,6 @@ deliberately produces them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
@@ -75,7 +74,6 @@ class InitOutOfRangeError(ValidationError):
         self.init, self.n = init, n
 
 
-@dataclass(frozen=True)
 class Dtmc:
     """A (sub)stochastic matrix over states ``1..n`` plus an initial state.
 
@@ -99,12 +97,46 @@ class Dtmc:
     they must agree, and :func:`validate` does not cross-check them.
     A collapse hands the lists on, rewriting only its members' lists, and a
     prune renumbers them.  Equality, hashing and ``repr`` look at ``init``
-    and ``rows`` alone.
+    and ``rows`` alone.  A chain is immutable: assigning or deleting a field
+    raises ``AttributeError``.
     """
+
+    __slots__ = ("init", "rows", "succ")
 
     init: int
     rows: tuple[tuple[Fraction, ...], ...]
-    succ: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
+    succ: tuple[tuple[int, ...], ...]
+
+    def __init__(
+        self,
+        init: int,
+        rows: tuple[tuple[Fraction, ...], ...],
+        succ: tuple[tuple[int, ...], ...],
+    ) -> None:
+        object.__setattr__(self, "init", init)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "succ", succ)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of a Dtmc")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of a Dtmc")
+
+    def __reduce__(self):
+        # the default pickle protocol would set the slots through __setattr__
+        return self.__class__, (self.init, self.rows, self.succ)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.init, self.rows) == (other.init, other.rows)
+
+    def __hash__(self) -> int:
+        return hash((self.init, self.rows))
+
+    def __repr__(self) -> str:
+        return f"Dtmc(init={self.init!r}, rows={self.rows!r})"
 
     @classmethod
     def from_transitions(

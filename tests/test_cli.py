@@ -528,8 +528,10 @@ def test_refine_command_non_ascii_target_exits_2(capsys):
 
 _LOADED_MODULES = """
 import sys
+before = set(sys.modules)
 import pathfold.cli
 print(*sorted(name for name in sys.modules if name.split(".")[0] == "pathfold"))
+print(*sorted(set(sys.modules) - before))
 """
 
 
@@ -545,6 +547,10 @@ def test_cli_import_loads_every_module_of_the_package():
         env=PACKAGE_ENV,
         text=True,
     )
-    assert child.stdout.split() == sorted(
+    package, loaded = child.stdout.splitlines()
+    assert package.split() == sorted(
         ["pathfold", *(f"pathfold.{stem}" for stem in stems)]
     )
+    # every CLI process pays for its imports: a frozen dataclass compiles
+    # its generated methods on each import, and dataclasses loads inspect
+    assert {"dataclasses", "inspect"}.isdisjoint(loaded.split())

@@ -1,6 +1,8 @@
 """Model validation, absorbing-state detection and edge enumeration."""
 
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -18,6 +20,7 @@ from helpers import (
 )
 import pathfold
 from pathfold.abstraction import path_abstract, prune_isolated
+from pathfold.checker import model_check, refine
 from pathfold.core import (
     Dtmc,
     EntryExceedsOneError,
@@ -82,6 +85,26 @@ def test_equality_hash_and_repr_ignore_the_support_lists():
     for other in same + [raw]:
         assert other == d and hash(other) == hash(d)
     assert "succ" not in repr(d) and "pred" not in repr(d)
+
+
+def test_chains_are_immutable_and_survive_pickle_and_copy(me):
+    for name in ("init", "rows", "succ"):
+        with pytest.raises(AttributeError):
+            setattr(me, name, getattr(me, name))
+        with pytest.raises(AttributeError):
+            delattr(me, name)
+    for twin in (
+        pickle.loads(pickle.dumps(me)),
+        copy.copy(me),
+        copy.deepcopy(me),
+    ):
+        assert twin == me and twin.succ == me.succ
+    # a report's steps hold the chains their collapses produced
+    report = refine(me, 7, Fraction(4, 9), [S2, S1, K])
+    assert len(report.trace) > 1
+    assert pickle.loads(pickle.dumps(report)) == report
+    result = model_check(me, {7, 8})
+    assert pickle.loads(pickle.dumps(result)) == result
 
 
 def test_validate_accepts_all_published_collapses(me):

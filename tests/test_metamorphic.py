@@ -4,7 +4,8 @@ fold along any sequence of subsets that ends in ``k`` lands where the one
 collapse of ``k`` does.  The relations need no oracle, so they run on
 chains of any size, and they catch what a small oracle misses: a special
 case for one state number, a tie-break that leaks into a value, or a step
-that goes wrong only after many others."""
+that goes wrong only after many others.  Every chain a refinement step or a
+prune produces also survives a round trip through the text format."""
 
 import random
 import sys
@@ -15,9 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import MODELS, nested_cycle, random_goal_model, random_subset
+from helpers import MODELS, entry_map, nested_cycle, random_goal_model, random_subset
 from pathfold.abstraction import path_abstract, path_abstract_seq, prune_isolated
 from pathfold.checker import METHODS, model_check, refine
+from pathfold.cli import parse, serialize
 from pathfold.core import Dtmc, non_absorbing
 from pathfold.scc import sccs
 
@@ -150,3 +152,45 @@ def test_any_sequence_ending_in_k_lands_on_the_collapse_of_k(family, seed):
     direct = path_abstract(d, k)
     folded = path_abstract_seq(d, [*subsets, k])
     assert folded == direct and folded.succ == direct.succ
+
+
+def _assert_refinement_chains_round_trip(d: Dtmc, target: int, steps) -> None:
+    """Each chain of ``refine``'s trace, and its prune, reads back from its
+    text form equal and with the same support lists; at threshold 1 no step
+    is a violation, so the trace holds a chain for every step."""
+    for step in refine(d, target, 1, steps).trace:
+        for chain in (step.chain, prune_isolated(step.chain)[0]):
+            again = parse(serialize(chain))
+            assert again == chain and again.succ == chain.succ
+
+
+@pytest.mark.parametrize("kind", [*sorted(MODELS), "goal"])
+@settings(max_examples=50)
+@given(seed=st.integers(0, 2**32), n=st.integers(3, 12))
+def test_refinement_chains_round_trip_through_the_text_format(kind, seed, n):
+    rng = random.Random(seed)
+    if kind == "goal":
+        d, goals = random_goal_model(rng, n)
+        target = rng.choice(goals)
+    else:
+        # refine needs an absorbing target; one that nothing reaches
+        # changes no collapse of the chain's own states
+        chain = MODELS[kind](rng, n)
+        target = n + 1
+        entries = {**entry_map(chain), (target, target): 1}
+        d = Dtmc.from_transitions(target, chain.init, entries)
+    k = sorted(non_absorbing(d))
+    steps = [random_subset(rng, k) for _ in range(rng.randint(1, 4))]
+    _assert_refinement_chains_round_trip(d, target, steps)
+
+
+def test_ladder_refinement_chains_round_trip_through_the_text_format():
+    # a refine-ladder case's sequence, block by block, then ``k``
+    case = families.ladder(5, 0, 12)
+    d = Dtmc.from_transitions(case.n, case.init, case.entries)
+    size = families.LADDER_BLOCK
+    blocks = [
+        range(b * size + 1, (b + 1) * size + 1) for b in range(case.params["blocks"])
+    ]
+    steps = [*blocks, non_absorbing(d)]
+    _assert_refinement_chains_round_trip(d, case.params["goal"], steps)
