@@ -14,9 +14,8 @@ collapses its subsets in place on one copy of the chain with one
 predecessor index and skips the states an earlier step cleared;
 :func:`path_abstract` is that fold over one subset.  A step so costs what
 its members' and exits' lists hold, and a long fold pays for the chain's
-size once.  :func:`frontier`, :func:`interior_zero` and
-:func:`reach_backward` read the same kind of index, built for the chain
-they are handed.
+size once.  :func:`frontier` and :func:`reach_backward` read the same
+kind of index, built for the chain they are handed.
 
 Integers start where the exit system is assembled: each of its rows is
 scaled to integers once, from the chain's ``Fraction``s.  The solve then
@@ -52,8 +51,8 @@ class FrontierSets(NamedTuple):
     """The three state sets steering one collapse step.
 
     ``entries``
-        Members of the subset a path can enter through; the others,
-        :func:`interior_zero`, lose all their transitions.
+        Members of the subset a path can enter through; a collapse clears
+        the others of all their transitions.
     ``exits``
         Outside states fed directly from the subset.
     ``reaching``
@@ -80,12 +79,6 @@ class LinearSystem(NamedTuple):
 def frontier(d: Dtmc, subset: Iterable[int]) -> FrontierSets:
     """Compute the three frontier sets for collapsing ``subset``."""
     return FrontierSets(*map(frozenset, _Fold(d).frontier(state_set(subset, d.n))))
-
-
-def interior_zero(d: Dtmc, subset: Iterable[int]) -> StateSet:
-    """Members of ``subset``, other than the initial state, that no state
-    outside ``subset`` feeds: the ones a collapse of it clears."""
-    return _Fold(d).interior(state_set(subset, d.n))
 
 
 def reach_backward(d: Dtmc, subset: Iterable[int], exits: Iterable[int]) -> StateSet:

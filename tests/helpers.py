@@ -410,15 +410,21 @@ def reach_backward_by_prob(d: Dtmc, subset, exits) -> frozenset[int]:
     return frozenset(seen - exit_set)
 
 
+def interior_by_prob(d: Dtmc, subset) -> frozenset[int]:
+    """Members of ``subset``, other than the initial state, that no state
+    outside it feeds: the ones a collapse of it clears."""
+    outside = [r for r in d.states() if r not in subset]
+    return frozenset(
+        s for s in subset if s != d.init and all(d.prob(r, s) == 0 for r in outside)
+    )
+
+
 def frontier_by_prob(d: Dtmc, subset) -> FrontierSets:
     s1 = state_set(subset, d.n)
     outside = [s for s in d.states() if s not in s1]
-    interior = frozenset(
-        s for s in s1 if s != d.init and all(d.prob(r, s) == 0 for r in outside)
-    )
     exits = frozenset(t for t in outside if any(d.prob(s, t) > 0 for s in s1))
     reaching = reach_backward_by_prob(d, s1, exits)
-    return FrontierSets(s1 - interior, exits, reaching)
+    return FrontierSets(s1 - interior_by_prob(d, s1), exits, reaching)
 
 
 def exit_system(d: Dtmc, fr: FrontierSets) -> LinearSystem:
@@ -597,22 +603,15 @@ def collapse_sequence(d: Dtmc, method: str, region=None) -> list[frozenset[int]]
     if method == "scc":
         seq = comps
     else:
-        entered = [c for c in comps if _interior_by_prob(d, c) != c]
+        entered = [c for c in comps if interior_by_prob(d, c) != c]
         seq = [c for comp in entered for c in _nested_order(d, comp)]
     return seq if seq[-1:] == [k] else [*seq, k]
-
-
-def _interior_by_prob(d: Dtmc, subset) -> frozenset[int]:
-    outside = [r for r in d.states() if r not in subset]
-    return frozenset(
-        s for s in subset if s != d.init and all(d.prob(r, s) == 0 for r in outside)
-    )
 
 
 def _nested_order(d: Dtmc, comp) -> list[frozenset[int]]:
     """Innermost first: the order of each component of ``comp``'s interior,
     in turn, then ``comp``."""
-    inner = nontrivial_sccs(d, _interior_by_prob(d, comp))
+    inner = nontrivial_sccs(d, interior_by_prob(d, comp))
     return [*(c for sub in inner for c in _nested_order(d, sub)), comp]
 
 

@@ -40,7 +40,6 @@ from oracle import (
 )
 from pathfold.abstraction import (
     frontier,
-    interior_zero,
     path_abstract,
     path_abstract_seq,
 )
@@ -244,14 +243,14 @@ def test_criterion_8_robustness():
     unentered = Dtmc.from_transitions(
         4, 1, {(1, 4): 1, (2, 3): 1, (3, 2): 1, (4, 4): 1}
     )
-    assert interior_zero(unentered, {2, 3}) == frozenset({2, 3})
+    assert frontier(unentered, {2, 3}).entries == frozenset()
     assert abstract_recursive(unentered, {2, 3}) == path_abstract(unentered, {2, 3})
     entered = Dtmc.from_transitions(
         4,
         1,
         {(1, 2): "1/2", (1, 4): "1/2", (2, 3): 1, (3, 2): "1/2", (3, 4): "1/2", (4, 4): 1},
     )
-    assert interior_zero(entered, {2, 3}) != frozenset({2, 3})
+    assert frontier(entered, {2, 3}).entries == frozenset({2})
     assert abstract_recursive(entered, {2, 3}) == path_abstract(entered, {2, 3})
 
     # absorbing self-loops survive the full collapse

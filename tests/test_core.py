@@ -1,10 +1,14 @@
 """Model validation, absorbing-state detection and edge enumeration."""
 
+import ast
 import copy
 import math
 import pickle
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -32,6 +36,9 @@ from pathfold.core import (
     state_set,
     validate,
 )
+
+sys.path.append(str(Path(__file__).resolve().parents[1] / "bench"))
+import tracer  # noqa: E402
 
 
 def test_validate_worked_example_is_stochastic(me):
@@ -85,6 +92,10 @@ def test_equality_hash_and_repr_ignore_the_support_lists():
     for other in same + [raw]:
         assert other == d and hash(other) == hash(d)
     assert "succ" not in repr(d) and "pred" not in repr(d)
+    # a chain equals only a chain, not a tuple of its fields or another type
+    for other in ((d.init, d.rows), (d.init, d.rows, d.succ), object()):
+        assert d != other and not d == other
+    assert d.__eq__(0) is NotImplemented
 
 
 def test_chains_are_immutable_and_survive_pickle_and_copy(me):
@@ -258,3 +269,36 @@ def test_package_root_exports_only_the_documented_names():
         "refine",
     ]
     assert all(hasattr(pathfold, name) for name in pathfold.__all__)
+
+
+def _names_used(node: ast.AST) -> Counter:
+    """How often each name is read under ``node``, as a bare name or as
+    the attribute of something else."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    )
+
+
+def test_every_public_definition_of_the_package_is_used_by_the_package():
+    # code that only the tests call does not belong in the installed
+    # package; the benchmark's tracer wraps some layers by name, so those
+    # stay while it does
+    modules = {
+        f.stem: ast.parse(f.read_text(), str(f))
+        for f in sorted(Path(pathfold.__file__).parent.glob("*.py"))
+    }
+    used = sum(map(_names_used, modules.values()), Counter())
+    traced = {(module, name.split(".")[0]) for module, name, _, _ in tracer.TARGETS}
+    unused = [
+        f"{module}.{node.name}"
+        for module, tree in modules.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and used[node.name] == _names_used(node)[node.name]
+        and (module, node.name) not in traced
+        and node.name not in pathfold.__all__
+    ]
+    assert not unused, f"used only outside the package: {', '.join(unused)}"

@@ -31,7 +31,6 @@ from helpers import (
 from pathfold import abstraction
 from pathfold.abstraction import (
     frontier,
-    interior_zero,
     path_abstract,
     path_abstract_seq,
     prune_isolated,
@@ -238,7 +237,7 @@ def test_graph_layers_read_entries_linear_in_the_transitions():
     nnz = chain.transition_count()
     n = chain.n
     layers = {
-        "interior_zero": lambda s1: interior_zero(chain, s1),
+        "frontier": lambda s1: frontier(chain, s1),
         "reach_backward": lambda s1: reach_backward(chain, s1, {n - 1, n}),
         "sccs": lambda s1: sccs(chain, s1),
         "most_probable_path": lambda s1: most_probable_path(chain, 1, n),
