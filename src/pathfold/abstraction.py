@@ -11,7 +11,8 @@ initial state are preserved exactly; the state space itself never changes
 
 Every collapse is a step of one fold, :func:`path_abstract_seq`, which
 collapses its subsets in place on one copy of the chain with one
-predecessor index and skips the states an earlier step cleared;
+predecessor index, skips the states an earlier step cleared and a subset
+equal to the one just before it, and checks each subset once;
 :func:`path_abstract` is that fold over one subset.  A step so costs what
 its members' and exits' lists hold, and a long fold pays for the chain's
 size once.  :func:`frontier` and :func:`reach_backward` read the same
@@ -134,12 +135,11 @@ def linear_system(
 
 
 def solve_linear(
-    system: LinearSystem, rows: Sequence[int] | None = None
+    system: LinearSystem, rows: Iterable[int]
 ) -> tuple[tuple[Fraction, ...], ...]:
     """Exact solve of ``a @ q = b`` by fraction-free elimination on sparse rows.
 
-    Returns row ``i`` of ``q`` for each ``i`` in ``rows``, in that order, or
-    every row in order when ``rows`` is omitted.
+    Returns row ``i`` of ``q`` for each ``i`` in ``rows``, in that order.
 
     Integers in, ``Fraction``s out: each integer row of ``[a | b]``,
     ``b``'s columns numbered from ``m`` on, is copied into a ``{column:
@@ -161,7 +161,7 @@ def solve_linear(
     entries.
     """
     m = len(system.a)
-    wanted = range(m) if rows is None else tuple(rows)
+    wanted = tuple(rows)
     tail = set(wanted)
     if tail and not (0 <= min(tail) and max(tail) < m):
         raise ValueError(f"rows must lie in 0..{m - 1}")
@@ -352,11 +352,11 @@ class _Fold:
         exits -= live
         return entries, exits, self.reach(live, exits)
 
-    def collapse(self, subset: Iterable[int]) -> None:
-        """Collapse ``subset`` in place, as :func:`path_abstract` describes."""
+    def collapse(self, s1: StateSet) -> None:
+        """Collapse the checked subset ``s1`` in place, as
+        :func:`path_abstract` describes."""
         rows, succ, pred = self.rows, self.succ, self.pred
         n = len(rows)
-        s1 = state_set(subset, n)
         entries, exits, reaching = self.frontier(s1)
         unknowns = sorted(reaching)
         outs = sorted(exits)
@@ -414,10 +414,19 @@ def path_abstract_seq(d: Dtmc, subsets: Iterable[Iterable[int]]) -> Dtmc:
     and index entries of the members it changes.  So after the set-up a
     collapse costs what its members' and exits' lists hold, not what the
     chain holds.
+
+    Each subset is checked once, by :func:`pathfold.core.state_set`, before
+    its collapse.  A subset equal to the one just collapsed is skipped: its
+    interior is already cleared and each of its entries already leads
+    straight to an exit, so a second collapse would rewrite the same rows.
     """
     fold = _Fold(d)
+    last = None
     for subset in subsets:
-        fold.collapse(subset)
+        s1 = state_set(subset, d.n)
+        if s1 != last:
+            fold.collapse(s1)
+            last = s1
     return fold.chain()
 
 

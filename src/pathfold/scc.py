@@ -16,12 +16,12 @@ and adds transitions only onto states its members already fed, so every
 component's edges and interior are the same in the input as in the chain
 it is collapsed in.  The fold skips the states a nested component's
 collapse cleared when it meets them again in the components around it.
-Either sequence ends with
-the region only once: when the region is itself the last component listed,
-collapsing it a second time would change nothing, so it is not repeated.
-Both land on exactly the matrix obtained by collapsing the region directly,
-and neither returns the chains in between: :func:`pathfold.checker.refine`,
-handed the same subsets, records each of them in its trace.
+Either sequence ends with the region, which may itself be the last
+component listed; the fold's own rule, to skip a subset equal to the one
+just before it, keeps it from being collapsed a second time.  Both land on
+exactly the matrix obtained by collapsing the region directly, and neither
+returns the chains in between: :func:`pathfold.checker.refine`, handed the
+same subsets, records each of them in its trace.
 
 Components come from one iterative Tarjan search (Tarjan, SIAM J. Comput.
 1972) over the members' ``Dtmc.succ`` lists, roots ascending, and are listed
@@ -105,26 +105,22 @@ def nontrivial_sccs(d: Dtmc, subset: Iterable[int]) -> list[StateSet]:
     return out
 
 
-def _then(seq: list[StateSet], region: StateSet) -> list[StateSet]:
-    """``seq`` followed by ``region``, unless ``seq`` already ends with it."""
-    return seq if seq and seq[-1] == region else [*seq, region]
-
-
 def abstract_via_sccs(d: Dtmc, subset: Iterable[int]) -> Dtmc:
-    """Collapse each nontrivial component of ``subset``, then ``subset``
-    unless it was that last component.
+    """Collapse each nontrivial component of ``subset``, then ``subset``,
+    which the fold skips when it was that last component.
 
     The result equals collapsing ``subset`` in one go; to see each chain in
     between, hand the same subsets to :func:`pathfold.checker.refine`.
     """
     s1 = state_set(subset, d.n)
-    return path_abstract_seq(d, _then(nontrivial_sccs(d, s1), s1))
+    return path_abstract_seq(d, [*nontrivial_sccs(d, s1), s1])
 
 
 def abstract_recursive(d: Dtmc, subset: Iterable[int]) -> Dtmc:
     """Collapse each nontrivial component of ``subset`` that something
     enters, each after the nontrivial components of its own interior,
-    innermost first, then ``subset`` unless it was that last component.
+    innermost first, then ``subset``, which the fold skips when it was that
+    last component.
 
     The recursive twin of :func:`abstract_via_sccs`, with the same result
     as collapsing ``subset`` in one go.  A component equal to its own
@@ -144,4 +140,4 @@ def abstract_recursive(d: Dtmc, subset: Iterable[int]) -> Dtmc:
         if interior != comp:
             outermost_first.append(comp)
             todo += nontrivial_sccs(d, interior)
-    return path_abstract_seq(d, _then(outermost_first[::-1], s1))
+    return path_abstract_seq(d, [*outermost_first[::-1], s1])

@@ -617,14 +617,14 @@ def _nested_order(d: Dtmc, comp) -> list[frozenset[int]]:
 
 def record_collapses(monkeypatch) -> list[frozenset[int]]:
     """Wrap the collapse step of the package's one fold, which every
-    collapse goes through; return the list each step appends its subset
-    to, as it was handed over."""
+    collapse goes through; return the list each step appends its checked
+    subset to.  A subset the fold skips is not a step."""
     original = abstraction._Fold.collapse
     subsets = []
 
-    def recording(fold, subset):
-        subsets.append(frozenset(subset))
-        return original(fold, subsets[-1])
+    def recording(fold, s1):
+        subsets.append(s1)
+        return original(fold, s1)
 
     monkeypatch.setattr(abstraction._Fold, "collapse", recording)
     return subsets

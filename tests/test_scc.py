@@ -317,6 +317,31 @@ def test_no_method_collapses_a_subset_twice_in_a_row(method, monkeypatch):
         assert all(a != b for a, b in pairwise(subsets)), name
 
 
+@pytest.mark.parametrize("kind", sorted(MODELS))
+@settings(max_examples=100)
+@given(seed=st.integers(0, 2**32), n=st.integers(1, 9))
+def test_a_fold_skips_a_subset_equal_to_the_one_just_collapsed(kind, seed, n):
+    # a caller's sequence may repeat a subset right away, in any form the
+    # fold takes; the fold collapses it once, still collapses a subset that
+    # comes back later, and lands where the sequence without repeats does
+    rng = random.Random(seed)
+    d = MODELS[kind](rng, n)
+    distinct = []
+    for _ in range(rng.randint(1, 4)):
+        s1 = random_subset(rng, d.states())
+        if s1 not in distinct[-1:]:
+            distinct.append(s1)
+    forms = (lambda s: s, sorted, lambda s: [*s, *s])
+    repeated = [form(s1) for s1 in distinct for form in forms[: rng.randint(2, 3)]]
+    with pytest.MonkeyPatch.context() as patch:
+        subsets = record_collapses(patch)
+        got = path_abstract_seq(d, repeated)
+    assert all(a != b for a, b in pairwise(subsets))
+    assert subsets == distinct
+    want = path_abstract_seq(d, distinct)
+    assert got == want and got.succ == want.succ
+
+
 def _with_unentered_cycle(d: Dtmc, leak_to: int) -> Dtmc:
     """``d`` plus states ``n + 1`` and ``n + 2``, which swap with each other
     and leak into ``leak_to``; nothing enters them."""

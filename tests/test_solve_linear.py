@@ -1,14 +1,16 @@
 """Differential check of the sparse integer solver against the dense
 Gauss-Jordan oracle, on raw linear systems, for chosen solution rows and
 through the collapse, plus a bound on the solver's fill-in, a fixed count
-of its row combinations and a count of the ``Fraction``s the exit system
-and its solve build."""
+of its row combinations, a check that every row it combines stays
+primitive and a count of the ``Fraction``s the exit system and its solve
+build."""
 
 import contextlib
 import copy
 import random
 import sys
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 from unittest import mock
 
@@ -76,10 +78,35 @@ def _outcome(solver, system):
         return SingularMatrixError
 
 
+def _solve_all(system):
+    return solve_linear(system, range(len(system.a)))
+
+
+@contextlib.contextmanager
+def _checking_primitive_rows():
+    """Check after every row combination of the solver that the combined
+    row's entries have gcd 1, so that it is the smallest integer multiple
+    of its exact row; a row that cancelled out entirely has no entry and
+    gcd 0.  Yields the list of combinations checked."""
+    cancel = abstraction._cancel
+    checked = []
+
+    def checking(row, *args):
+        cancel(row, *args)
+        checked.append(gcd(*row.values()))
+        assert checked[-1] <= 1, row
+
+    with mock.patch.object(abstraction, "_cancel", checking):
+        yield checked
+
+
 @settings(max_examples=400)
 @given(systems())
 def test_solve_linear_equals_gauss_jordan(system):
-    assert _outcome(solve_linear, system) == _outcome(gauss_jordan_solve, system)
+    # every row combined on the way stays primitive
+    with _checking_primitive_rows():
+        got = _outcome(_solve_all, system)
+    assert got == _outcome(gauss_jordan_solve, system)
 
 
 def test_solve_linear_differential_covers_both_outcomes():
@@ -88,7 +115,7 @@ def test_solve_linear_differential_covers_both_outcomes():
     @settings(max_examples=200)
     @given(systems())
     def record(system):
-        seen.add(_outcome(solve_linear, system) is SingularMatrixError)
+        seen.add(_outcome(_solve_all, system) is SingularMatrixError)
 
     record()
     assert seen == {True, False}
@@ -101,7 +128,7 @@ def test_solve_linear_long_tridiagonal_matches_oracle():
     a = [[diagonals.get(j - i, ZERO) for j in range(m)] for i in range(m)]
     b = [[p if i == m - 1 else ZERO, 1 - p if i == 0 else ZERO] for i in range(m)]
     system = system_from_dense(a, b)
-    assert solve_linear(system) == gauss_jordan_solve(system)
+    assert _solve_all(system) == gauss_jordan_solve(system)
 
 
 @settings(max_examples=300)
@@ -160,14 +187,14 @@ def _arrow(m):
     return system_from_dense(a, b)
 
 
-@pytest.mark.parametrize("rows", [None, [0], [5, 0, 39]])
+@pytest.mark.parametrize("rows", [pytest.param(range(40), id="all"), [0], [5, 0, 39]])
 def test_arrow_system_fills_nothing_in(rows):
     # Pivoting on the dense first column first turns every row dense and
     # costs 780 row combinations; the sparse columns first cost one each.
     m = 40
     system = _arrow(m)
     with mock.patch.object(abstraction, "_cancel", wraps=abstraction._cancel) as cancel:
-        got = solve_linear(system) if rows is None else solve_linear(system, rows)
+        got = solve_linear(system, rows)
     assert cancel.call_count <= m
     assert got == gauss_jordan_solve(system, rows)
 
@@ -184,18 +211,22 @@ def _random_chain_exit_system():
 @pytest.mark.parametrize(
     ("system", "rows", "cancels"),
     [
-        (_arrow(40), None, 39),
+        (_arrow(40), range(40), 39),
         (_random_chain_exit_system(), [0], 189),
-        (_random_chain_exit_system(), None, 183),
+        (_random_chain_exit_system(), range(48), 183),
     ],
     ids=["arrow 40", "random 50 entry", "random 50 all"],
 )
 def test_elimination_makes_a_fixed_number_of_row_combinations(system, rows, cancels):
     # The pivot rule fixes how many rows are combined; a rewrite that keeps
-    # every result but changes the rule, or its tie-break, changes the count
-    with mock.patch.object(abstraction, "_cancel", wraps=abstraction._cancel) as cancel:
+    # every result but changes the rule, or its tie-break, changes the count.
+    # Each combined row stays primitive: without the division by its
+    # content, a random-50 row gathers a common factor of hundreds of
+    # digits, and dividing only the pivot rows leaves it on the rows
+    # combined in between.
+    with _checking_primitive_rows() as checked:
         got = solve_linear(system, rows)
-    assert cancel.call_count == cancels
+    assert len(checked) == cancels
     assert got == gauss_jordan_solve(system, rows)
 
 
