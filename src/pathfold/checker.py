@@ -69,10 +69,9 @@ def model_check(
     goal_set = state_set(goals, d.n)
     if d.init in goal_set:
         raise InitIsGoalError(f"initial state {d.init} is a goal")
-    for g in sorted(goal_set):
-        if d.prob(g, g) != 1:
-            raise GoalNotAbsorbingError(f"goal {g} is not absorbing")
     k = non_absorbing(d)
+    if bad := goal_set & k:
+        raise GoalNotAbsorbingError(f"goal {min(bad)} is not absorbing")
     if method == "direct":
         final = path_abstract(d, k)
     elif method == "scc":
@@ -114,13 +113,12 @@ def most_probable_path(
     so ties are exact, and they resolve to the lexicographically smallest
     path.  The one :class:`Fraction` built is the returned probability.
     With ``within`` given, every state after ``src`` other than ``dst``
-    must lie in ``within``.  Returns ``((), 0)`` if the destination is
-    unreachable.
+    must lie in ``within``.  The first pop settles ``src``, so a search
+    from a state to itself returns ``((src,), 1)``; it returns ``((), 0)``
+    if the destination is unreachable.
     """
     if not (1 <= src <= d.n and 1 <= dst <= d.n):
         raise ValueError(f"state pair ({src},{dst}) out of range 1..{d.n}")
-    if src == dst:
-        return (src,), Fraction(1)
     allowed = None if within is None else {*state_set(within, d.n), dst}
     rows, succ = d.rows, d.succ
     heap = [_Entry(1, 1, (src,))]
@@ -214,7 +212,7 @@ def concretize_witness(
     if not (
         word
         and all(1 <= s <= last.n for s in word)
-        and all(last.prob(a, b) != 0 for a, b in pairwise(word))
+        and all(b in last.succ[a - 1] for a, b in pairwise(word))
     ):
         raise NotAPathError(f"{word} is not a path of the abstracted chain")
     for level in range(len(steps) - 1, -1, -1):

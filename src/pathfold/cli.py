@@ -192,9 +192,7 @@ def _cmd_abstract(args: argparse.Namespace, d: Dtmc) -> int:
     header = ""
     if args.prune:
         result, mapping = prune_isolated(result)
-        header = "".join(
-            f"# map {old} -> {new}\n" for old, new in sorted(mapping.items())
-        )
+        header = "".join(f"# map {old} -> {new}\n" for old, new in mapping.items())
     sys.stdout.write(header + serialize(result))
     return 0
 

@@ -193,21 +193,20 @@ def state_set(states: Iterable[int], n: int) -> StateSet:
     return out
 
 
-def validate(d: Dtmc) -> bool:
+def validate(d: Dtmc) -> None:
     """Check entry ranges, row sums and the initial state.
 
-    Returns True if the chain is stochastic, False if substochastic; raises a
-    :class:`ValidationError` subclass on any violation, naming the first
-    offending entry in (src, dst) order, and the builders' ``TypeError`` on
-    a binary ``float`` entry.  Every entry outside the support is zero and
-    so in range, so only the entries ``d.succ`` lists are read.
+    Raises a :class:`ValidationError` subclass on any violation, naming the
+    first offending entry in (src, dst) order, and the builders'
+    ``TypeError`` on a binary ``float`` entry; returns nothing otherwise.
+    Every entry outside the support is zero and so in range, so only the
+    entries ``d.succ`` lists are read.
     """
     n = d.n
     if not (1 <= d.init <= n):
         raise InitOutOfRangeError(d.init, n)
     if any(len(row) != n for row in d.rows):
         raise ValidationError("matrix is not square")
-    stochastic = True
     for s, (row, targets) in enumerate(zip(d.rows, d.succ), 1):
         total = Fraction(0)
         for t in targets:
@@ -221,9 +220,6 @@ def validate(d: Dtmc) -> bool:
             total += p
         if total > 1:
             raise RowSumExceedsOneError(s, total)
-        if total != 1:
-            stochastic = False
-    return stochastic
 
 
 def non_absorbing(d: Dtmc) -> StateSet:

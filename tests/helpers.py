@@ -134,6 +134,10 @@ def row_sum(d: Dtmc, s: int) -> Fraction:
     return sum((p for (src, _), p in entry_map(d).items() if src == s), Fraction(0))
 
 
+def is_stochastic(d: Dtmc) -> bool:
+    return all(sum(row, Fraction(0)) == 1 for row in d.rows)
+
+
 def str_of_any_length(value) -> str:
     """``str(value)`` with the interpreter's int-string digit limit lifted,
     if it has one."""
@@ -371,14 +375,13 @@ def gauss_jordan_solve(
 # directly: each reads every entry through the bounds-checked ``Dtmc.prob``.
 
 
-def validate_by_prob(d: Dtmc) -> bool:
+def validate_by_prob(d: Dtmc) -> None:
     """:func:`pathfold.core.validate` over all n² entries, zeros included."""
     n = d.n
     if not (1 <= d.init <= n):
         raise InitOutOfRangeError(d.init, n)
     if any(len(row) != n for row in d.rows):
         raise ValidationError("matrix is not square")
-    stochastic = True
     for s in d.states():
         total = Fraction(0)
         for t in d.states():
@@ -390,8 +393,6 @@ def validate_by_prob(d: Dtmc) -> bool:
             total += p
         if total > 1:
             raise RowSumExceedsOneError(s, total)
-        stochastic = stochastic and total == 1
-    return stochastic
 
 
 def transition_count_by_prob(d: Dtmc) -> int:

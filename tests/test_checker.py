@@ -60,8 +60,11 @@ def test_model_check_unreachable_goal():
 
 
 def test_model_check_rejects_non_absorbing_goal(me):
-    with pytest.raises(GoalNotAbsorbingError):
-        model_check(me, {3})
+    # 3 and 4 keep less than their full mass on the diagonal; the error
+    # names the smallest such goal, wherever the caller lists it
+    for goals, named in [({3}, 3), ([7, 4], 4), ([8, 4, 3], 3), ([4, 7, 3], 3)]:
+        with pytest.raises(GoalNotAbsorbingError, match=rf"^goal {named} is not"):
+            model_check(me, goals)
 
 
 def test_model_check_rejects_goal_equal_to_init():
@@ -137,6 +140,7 @@ def test_best_path_unreachable_pair():
 
 def test_best_path_same_endpoints_is_trivial(me):
     assert most_probable_path(me, 3, 3) == ((3,), Fraction(1))
+    assert most_probable_path(me, 3, 3, within=set()) == ((3,), Fraction(1))
 
 
 def test_best_path_within_stays_inside_the_given_states(me):
@@ -153,9 +157,11 @@ def test_best_path_within_stays_inside_the_given_states(me):
 
 
 def test_best_path_within_rejects_out_of_range_states(me):
-    for within in ({0}, {2, 9}):
-        with pytest.raises(ValueError):
-            most_probable_path(me, 1, 7, within=within)
+    # also when the search would end at its first pop
+    for src, dst in [(1, 7), (3, 3)]:
+        for within in ({0}, {2, 9}):
+            with pytest.raises(ValueError, match=r"^state (0|9) out of range 1\.\.8$"):
+                most_probable_path(me, src, dst, within=within)
 
 
 def test_best_path_rejects_out_of_range_endpoints(me):

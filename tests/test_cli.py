@@ -13,6 +13,7 @@ import pathfold
 from helpers import (
     PACKAGE_ENV,
     S1,
+    is_stochastic,
     random_dtmc,
     random_substochastic,
     record_collapses,
@@ -44,7 +45,8 @@ needs_digit_limit = pytest.mark.skipif(
 def test_parse_worked_example_file(me):
     d = parse(EXAMPLE.read_text())
     assert d == me
-    assert validate(d)
+    assert validate(d) is None
+    assert is_stochastic(d)
 
 
 def test_parse_accepts_bare_integers_and_comments():
@@ -57,7 +59,8 @@ def test_parse_accepts_bare_integers_and_comments():
 def test_parse_minimal_substochastic_model():
     d = parse("dtmc 1 1\n")
     assert d.n == 1
-    assert not validate(d)
+    assert validate(d) is None
+    assert not is_stochastic(d)
 
 
 def test_parse_allocates_only_the_rows_with_entries():
@@ -310,8 +313,12 @@ def test_abstract_command_prune(capsys):
     )
     assert code == 0
     lines = out.splitlines()
-    assert "# map 7 -> 5" in lines
-    assert "# map 8 -> 6" in lines
+    # one line per kept state, ascending in the old index
+    assert [line for line in lines if line.startswith("# map")] == [
+        *(f"# map {s} -> {s}" for s in range(1, 5)),
+        "# map 7 -> 5",
+        "# map 8 -> 6",
+    ]
     assert "dtmc 6 1" in lines
     # comments parse away, so the pruned output is loadable as-is
     pruned = parse(out)

@@ -18,6 +18,7 @@ from helpers import (
     S1,
     S2,
     entry_map,
+    is_stochastic,
     random_dtmc,
     random_subset,
     str_of_any_length,
@@ -42,12 +43,14 @@ import tracer  # noqa: E402
 
 
 def test_validate_worked_example_is_stochastic(me):
-    assert validate(me)
+    assert validate(me) is None
+    assert is_stochastic(me)
 
 
 def test_validate_half_self_loop_is_substochastic():
     d = Dtmc.from_transitions(1, 1, {(1, 1): "1/2"})
-    assert not validate(d)
+    assert validate(d) is None
+    assert not is_stochastic(d)
 
 
 def test_validate_rejects_row_sum_above_one():
@@ -126,7 +129,8 @@ def test_validate_accepts_all_published_collapses(me):
         collapsed = path_abstract(me, subset)
         validate(collapsed)
         pruned, _ = prune_isolated(collapsed)
-        assert validate(pruned)
+        validate(pruned)
+        assert is_stochastic(pruned)
 
 
 def test_collapsing_a_trapping_region_goes_substochastic(me):
@@ -135,7 +139,8 @@ def test_collapsing_a_trapping_region_goes_substochastic(me):
     # with an all-zero row even after pruning
     pruned, mapping = prune_isolated(path_abstract(me, {5, 6, 7}))
     assert 7 in mapping
-    assert not validate(pruned)
+    validate(pruned)
+    assert not is_stochastic(pruned)
 
 
 def test_non_absorbing_worked_example(me):
@@ -204,7 +209,9 @@ def test_builders_reject_binary_floats():
         Dtmc.from_transitions(3, 1, {(2, 3): type("F", (float,), {})(1)})
     with pytest.raises(TypeError, match=r"entry \(1,2\)"):
         Dtmc.from_transitions(2, 1, {(1, 1): 0, (1, 2): 0.5, (2, 2): 1})
-    assert validate(Dtmc.from_transitions(3, 1, {**tenths, (1, 1): "1/10"}))
+    exact = Dtmc.from_transitions(3, 1, {**tenths, (1, 1): "1/10"})
+    validate(exact)
+    assert is_stochastic(exact)
 
 
 def test_validate_rejects_binary_floats_from_the_raw_constructor():

@@ -17,6 +17,7 @@ from helpers import (
     entry_map,
     exit_system,
     frontier_by_prob,
+    is_stochastic,
     linear_system_by_prob,
     most_probable_path_by_prob,
     nested_cycle,
@@ -81,12 +82,13 @@ def test_row_scans_equal_entry_by_entry_references(kind, seed, n):
 
 
 def _verdict(check, d: Dtmc):
-    """The report ``check`` returns, or the class, fields and message of
-    the validation error it raises."""
+    """Whether ``d`` is stochastic once ``check`` passes it, or the class,
+    fields and message of the validation error it raises."""
     try:
-        return check(d)
+        assert check(d) is None
     except ValidationError as exc:
         return type(exc), vars(exc), str(exc)
+    return is_stochastic(d)
 
 
 def _corrupt(rng: random.Random, table: dict, n: int, kind: str) -> None:

@@ -172,6 +172,9 @@ def _worked_example() -> list[Call]:
             ("check", FILE, "--goal", "7,8", "--method", method),
             ("check", FILE, "--goal", "7,8", "--method", method, "--json"),
         ]
+    # goals that keep less than their full mass: 4 after an absorbing 8,
+    # and 4 and 3 together, where the smaller one is named
+    argvs += [("check", FILE, "--goal", "8,4"), ("check", FILE, "--goal", "7,4,3")]
     for subset in (helpers.S0, helpers.S1, helpers.S2, helpers.K, {1, 2, 3, 4}):
         abstract = ("abstract", FILE, "--set", _csv(subset))
         argvs += [abstract, (*abstract, "--prune")]
@@ -204,6 +207,7 @@ def _invalid() -> list[Call]:
     valid = "dtmc 3 1\n1 2 1/2\n1 3 1/2\n2 2 1\n3 1 1/3\n3 2 2/3\n"
     bad_argvs = [
         ("check", FILE, "--goal", "3"),
+        ("check", FILE, "--goal", "2,3"),
         ("check", FILE, "--goal", "1,2"),
         ("check", FILE, "--goal", "4"),
         ("check", FILE, "--goal", ""),
