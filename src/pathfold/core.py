@@ -10,6 +10,7 @@ deliberately produces them.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Iterator, Mapping
 
 StateSet = frozenset[int]
@@ -197,10 +198,17 @@ def validate(d: Dtmc) -> None:
     """Check entry ranges, row sums and the initial state.
 
     Raises a :class:`ValidationError` subclass on any violation, naming the
-    first offending entry in (src, dst) order, and the builders'
-    ``TypeError`` on a binary ``float`` entry; returns nothing otherwise.
-    Every entry outside the support is zero and so in range, so only the
-    entries ``d.succ`` lists are read.
+    first offending entry in (src, dst) order, and a ``TypeError`` on an
+    entry that is neither an ``int`` nor a :class:`Fraction` (the builders'
+    one on a binary ``float``); returns nothing otherwise.  Every entry
+    outside the support is zero and so in range, so only the entries
+    ``d.succ`` lists are read.
+
+    The checks run on integers: an entry ``a/b`` in lowest terms (``b > 0``)
+    is in range when ``0 <= a <= b``, and a row's sum is kept as one
+    numerator over the lcm of the denominators read so far.  The only
+    :class:`Fraction` built is the total a :class:`RowSumExceedsOneError`
+    reports.
     """
     n = d.n
     if not (1 <= d.init <= n):
@@ -208,18 +216,27 @@ def validate(d: Dtmc) -> None:
     if any(len(row) != n for row in d.rows):
         raise ValidationError("matrix is not square")
     for s, (row, targets) in enumerate(zip(d.rows, d.succ), 1):
-        total = Fraction(0)
+        num, den = 0, 1
         for t in targets:
             p = row[t - 1]
-            if isinstance(p, float):
-                raise TypeError(f"entry ({s},{t}) is a binary float: {p!r}")
-            if p < 0:
+            # a float or Decimal has as_integer_ratio too, so the type comes
+            # first; the usual entry, a Fraction, passes on its class alone
+            if p.__class__ is not Fraction and not isinstance(p, (int, Fraction)):
+                if isinstance(p, float):
+                    raise TypeError(f"entry ({s},{t}) is a binary float: {p!r}")
+                raise TypeError(f"entry ({s},{t}) is not an int or Fraction: {p!r}")
+            a, b = p.as_integer_ratio()
+            if a < 0:
                 raise NegativeEntryError(s, t, p)
-            if p > 1:
+            if a > b:
                 raise EntryExceedsOneError(s, t, p)
-            total += p
-        if total > 1:
-            raise RowSumExceedsOneError(s, total)
+            if den % b:
+                m = lcm(den, b)
+                num *= m // den
+                den = m
+            num += a * (den // b)
+        if num > den:
+            raise RowSumExceedsOneError(s, Fraction(num, den))
 
 
 def non_absorbing(d: Dtmc) -> StateSet:

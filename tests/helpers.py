@@ -3,6 +3,7 @@ random model generators, and brute-force oracles kept deliberately naive."""
 
 from __future__ import annotations
 
+import contextlib
 import heapq
 import os
 import random
@@ -11,6 +12,7 @@ from fractions import Fraction
 from itertools import product
 from math import lcm
 from pathlib import Path
+from unittest import mock
 
 import pathfold
 from oracle import path_prob
@@ -136,6 +138,32 @@ def row_sum(d: Dtmc, s: int) -> Fraction:
 
 def is_stochastic(d: Dtmc) -> bool:
     return all(sum(row, Fraction(0)) == 1 for row in d.rows)
+
+
+@contextlib.contextmanager
+def counting_fractions():
+    """Count the ``Fraction``s built inside the block: the calls of
+    ``Fraction.__new__`` and, from Python 3.12 on, of the
+    ``Fraction._from_coprime_ints`` its arithmetic builds results with."""
+    calls = [0]
+
+    def counting(build):
+        def counted(cls, *args, **kwargs):
+            calls[0] += 1
+            return build(cls, *args, **kwargs)
+
+        return counted
+
+    with contextlib.ExitStack() as patches:
+        patches.enter_context(
+            mock.patch.object(Fraction, "__new__", counting(Fraction.__new__))
+        )
+        if hasattr(Fraction, "_from_coprime_ints"):
+            build = counting(Fraction._from_coprime_ints.__func__)
+            patches.enter_context(
+                mock.patch.object(Fraction, "_from_coprime_ints", classmethod(build))
+            )
+        yield calls
 
 
 def str_of_any_length(value) -> str:

@@ -5,6 +5,8 @@ count of the entries the graph layers read, which must stay linear in the
 transitions."""
 
 import random
+import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 from helpers import (
     MODELS,
     collapse_sequence,
+    counting_fractions,
     entry_map,
     exit_system,
     frontier_by_prob,
@@ -39,7 +42,14 @@ from pathfold.abstraction import (
 )
 from pathfold.checker import most_probable_path
 from pathfold.cli import parse, serialize
-from pathfold.core import Dtmc, ValidationError, validate
+from pathfold.core import (
+    Dtmc,
+    EntryExceedsOneError,
+    NegativeEntryError,
+    RowSumExceedsOneError,
+    ValidationError,
+    validate,
+)
 from pathfold.scc import sccs
 
 
@@ -101,9 +111,11 @@ def _corrupt(rng: random.Random, table: dict, n: int, kind: str) -> None:
         elif kind == "above one":
             table[s, t] = 1 + Fraction(rng.randint(1, 4), rng.randint(1, 4))
         elif kind == "row sum":
-            # two entries in range whose sum is not
+            # two entries in range whose sum is not, each above a half over
+            # a denominator of up to 600 digits
             for u in (t, t % n + 1):
-                table[s, u] = Fraction(rng.randint(3, 4), 5)
+                q = rng.randint(2, 10 ** rng.choice([1, 3, 600]))
+                table[s, u] = Fraction(rng.randint(q // 2 + 1, q), q)
 
 
 @pytest.mark.parametrize("build", ["from_transitions", "collapsed"])
@@ -131,6 +143,114 @@ def test_validate_reads_the_support_to_the_same_verdict(build, kind, seed, n, ze
     verdict = _verdict(validate, chain)
     assert verdict == _verdict(validate_by_prob, chain)
     assert (kind == "valid") == (not isinstance(verdict, tuple))
+    assert _fractions_built(chain) == _fractions_expected(verdict)
+
+
+def _fractions_built(d: Dtmc) -> int:
+    """How many ``Fraction``s :func:`validate` builds on ``d``."""
+    with counting_fractions() as built:
+        try:
+            validate(d)
+        except ValidationError:
+            pass
+    return built[0]
+
+
+def _fractions_expected(verdict) -> int:
+    """One ``Fraction``, the reported total, on a row-sum error; none else."""
+    return int(isinstance(verdict, tuple) and verdict[0] is RowSumExceedsOneError)
+
+
+# 600 digits; q, q + 1 and 2q + 1 are pairwise coprime
+_Q = 10**599 + 7
+_ROWS = {
+    "coprime_below_one": ([Fraction(1, 2), Fraction(1, 3), Fraction(1, 7)], False),
+    "coprime_above_one": (
+        [Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)],
+        RowSumExceedsOneError,
+    ),
+    "600_digits_below_one": (
+        [Fraction(1, _Q), Fraction(_Q // 3, _Q + 1), Fraction(_Q, 2 * _Q + 1)],
+        False,
+    ),
+    "600_digits_exactly_one": (
+        [
+            Fraction(1, _Q),
+            Fraction(1, _Q + 1),
+            1 - Fraction(1, _Q) - Fraction(1, _Q + 1),
+        ],
+        True,
+    ),
+    "one_plus_one_over_1200_digits": (
+        [Fraction(1, 2), Fraction(1, 2) + Fraction(1, _Q * (2 * _Q + 1)), 0],
+        RowSumExceedsOneError,
+    ),
+    "600_digits_one_plus_one_over_2q_plus_1": (
+        [
+            Fraction(1, _Q),
+            Fraction(1, _Q + 1),
+            1 - Fraction(1, _Q) - Fraction(1, _Q + 1) + Fraction(1, 2 * _Q + 1),
+        ],
+        RowSumExceedsOneError,
+    ),
+    "negative_after_a_sum_above_one": (
+        [Fraction(3, 4), Fraction(3, 4), Fraction(-1, _Q)],
+        NegativeEntryError,
+    ),
+    "above_one_after_a_sum_above_one": (
+        [Fraction(3, 4), Fraction(3, 4), Fraction(_Q + 1, _Q)],
+        EntryExceedsOneError,
+    ),
+    "ints_exactly_one": ([0, 1, 0], True),
+    "a_bool_and_ints": ([True, 0, 0], True),
+    "ints_above_one": ([1, 0, 1], RowSumExceedsOneError),
+    "int_above_one": ([0, 2, 0], EntryExceedsOneError),
+    "negative_int": ([Fraction(1, 3), -1, 0], NegativeEntryError),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ROWS))
+@pytest.mark.parametrize("first", [1, 2])
+@pytest.mark.parametrize("last", ["absorbing", "row_sum"])
+def test_validate_sums_rows_over_one_denominator_to_the_same_verdict(
+    name, first, last
+):
+    # the row under test is state ``first`` of a raw 3-state chain; the
+    # other one of states 1 and 2 is stochastic, and state 3 is absorbing
+    # or breaks its row sum, which only a valid row under test lets show
+    entries, expected = _ROWS[name]
+    rows = [(Fraction(1, 3), Fraction(2, 3), Fraction(0))] * 2
+    rows[first - 1] = tuple(entries)
+    third = Fraction(1, 2), Fraction(1, 2) + Fraction(1, 7)
+    rows.append((*third, Fraction(0)) if last == "row_sum" else (0, 0, Fraction(1)))
+    succ = tuple(tuple(t for t, p in enumerate(row, 1) if p) for row in rows)
+    chain = Dtmc(1, tuple(rows), succ)
+    verdict = _verdict(validate, chain)
+    assert verdict == _verdict(validate_by_prob, chain)
+    if isinstance(expected, bool) and last == "row_sum":
+        assert verdict[0] is RowSumExceedsOneError and verdict[1]["state"] == 3
+    elif isinstance(expected, bool):
+        assert verdict is expected
+    else:
+        assert verdict[0] is expected
+        assert verdict[1].get("src", verdict[1].get("state")) == first
+    assert _fractions_built(chain) == _fractions_expected(verdict)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [Decimal("0.5"), Decimal("-0.5"), Decimal("1.5"), "1/2", 0.5j, None],
+    ids=["decimal", "negative_decimal", "decimal_above_one", "str", "complex", "none"],
+)
+def test_validate_rejects_entries_neither_int_nor_fraction(value):
+    # the entry-by-entry reference rejects each too: it cannot compare or
+    # add the entry, or cannot print it in its range error
+    chain = Dtmc(1, ((Fraction(1, 4), value), (Fraction(0), 1)), ((1, 2), (2,)))
+    message = rf"^entry \(1,2\) is not an int or Fraction: {re.escape(repr(value))}$"
+    with pytest.raises(TypeError, match=message):
+        validate(chain)
+    with pytest.raises((TypeError, AttributeError)):
+        validate_by_prob(chain)
 
 
 def _graph_matches(d: Dtmc, seed: int) -> bool:

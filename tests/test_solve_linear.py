@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from helpers import (
     MODELS,
     S1,
+    counting_fractions,
     entry_map,
     exit_system,
     gauss_jordan_solve,
@@ -254,37 +255,11 @@ def test_solve_linear_on_exit_systems_equals_gauss_jordan(kind, seed, n):
     assert got == gauss_jordan_solve(system, rows)
 
 
-@contextlib.contextmanager
-def _counting_fractions():
-    """Count the ``Fraction``s built inside the block: the calls of
-    ``Fraction.__new__`` and, from Python 3.12 on, of the
-    ``Fraction._from_coprime_ints`` its arithmetic builds results with."""
-    calls = [0]
-
-    def counting(build):
-        def counted(cls, *args, **kwargs):
-            calls[0] += 1
-            return build(cls, *args, **kwargs)
-
-        return counted
-
-    with contextlib.ExitStack() as patches:
-        patches.enter_context(
-            mock.patch.object(Fraction, "__new__", counting(Fraction.__new__))
-        )
-        if hasattr(Fraction, "_from_coprime_ints"):
-            build = counting(Fraction._from_coprime_ints.__func__)
-            patches.enter_context(
-                mock.patch.object(Fraction, "_from_coprime_ints", classmethod(build))
-            )
-        yield calls
-
-
 def test_worked_example_exit_system_is_integer_rows(me):
     # reaching = [2, 5, 6], exits = [3, 8]; each row is scaled by the lcm
     # of its kept entries' denominators and its diagonal's: 3, 1 and 4
     fr = frontier(me, S1)
-    with _counting_fractions() as built:
+    with counting_fractions() as built:
         system = exit_system(me, fr)
     assert built[0] == 0
     assert system == LinearSystem(
@@ -300,12 +275,12 @@ def test_exit_system_builds_no_fraction_and_solve_one_per_entry(kind, seed, n):
     rng = random.Random(seed)
     d = EXIT_SYSTEM_MODELS[kind](rng, n)
     fr = frontier(d, random_subset(rng, d.states()))
-    with _counting_fractions() as built:
+    with counting_fractions() as built:
         system = exit_system(d, fr)
     assert built[0] == 0
     m = len(system.a)
     rows = rng.sample(range(m), rng.randint(0, m))
-    with _counting_fractions() as built:
+    with counting_fractions() as built:
         got = solve_linear(system, rows)
     assert built[0] <= sum(map(len, got))
 
