@@ -3,9 +3,9 @@
     python tools/compare_cli.py --against HEAD~1
 
 Extracts ``src/`` at the revision with ``git archive`` into a temporary
-directory, loads that ``pathfold`` and this checkout's side by side in one
-process (each call swaps its modules into ``sys.modules``) and calls both
-``pathfold.cli.main``s on the same seeded list of calls:
+directory and runs that tree's ``pathfold.cli.main`` and this checkout's,
+each in a child interpreter of its own that imports nothing else of the
+project, on the same seeded list of calls:
 
 * small models of the benchmark families (``bench/families.py``, imported
   read-only), with the calls the benchmark makes on them;
@@ -22,16 +22,17 @@ process (each call swaps its modules into ``sys.modules``) and calls both
 Every model gets ``check`` with each method, with and without ``--json``,
 ``abstract`` with and without ``--prune``, and ``refine`` with and without
 ``--concretize``.  Standard output, standard error and the exit code of each
-call must be identical.  Prints the number of calls and every difference,
-and exits 1 on any difference.  Standard library only.
+call must be identical.  The two children share no module, so a tree that
+patches the standard library on import changes only its own outputs, and
+each runs under its own hash seed, so an output that follows set order
+shows as a difference too.  Prints the number of calls and every
+difference, and exits 1 on any difference.  Standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
-import importlib
-import io
+import json
 import random
 import subprocess
 import sys
@@ -244,76 +245,71 @@ def build_calls() -> list[Call]:
     return calls + _worked_example() + _invalid()
 
 
-def _ours(name: str) -> bool:
-    return name == "pathfold" or name.startswith("pathfold.")
+def model_argvs(calls: list[Call], tmp: Path) -> list[list[str]]:
+    """Each call's argv, naming its model written once into ``tmp``, or
+    a path there where no file exists for a call without text."""
+    paths: dict[str | None, str] = {None: str(tmp / "missing.dtmc")}
+    argvs = []
+    for call in calls:
+        path = paths.get(call.text)
+        if path is None:
+            path = paths[call.text] = str(tmp / f"m{len(paths)}.dtmc")
+            Path(path).write_text(call.text)
+        argvs.append([path if a == FILE else a for a in call.argv])
+    return argvs
 
 
-@contextlib.contextmanager
-def _modules(modules: dict):
-    """Run the body with ``modules`` as the only ``pathfold`` in
-    ``sys.modules``; whatever was there before is put back afterwards."""
-    saved = {k: v for k, v in sys.modules.items() if _ours(k)}
-    for k in saved:
-        del sys.modules[k]
-    sys.modules.update(modules)
-    try:
-        yield
-    finally:
-        for k in [k for k in sys.modules if _ours(k)]:
-            del sys.modules[k]
-        sys.modules.update(saved)
-
-
-def load(src: Path) -> dict:
-    """Import a fresh ``pathfold.cli`` from the source tree ``src`` and
-    return its ``pathfold`` modules, leaving ``sys.modules`` as it was."""
-    with _modules({}):
-        sys.path.insert(0, str(src))
-        try:
-            importlib.invalidate_caches()
-            importlib.import_module("pathfold.cli")
-            return {k: v for k, v in sys.modules.items() if _ours(k)}
-        finally:
-            sys.path.remove(str(src))
-
-
-def run(modules: dict, argv: list[str]) -> tuple[object, str, str]:
-    """Exit code, stdout and stderr of one ``main(argv)`` of ``modules``."""
+# Reads the argv lists and binds its encoder and stdout before importing the
+# tree, so a tree that rebinds ``json`` or ``sys`` on import cannot change
+# how its results come back: one JSON line per call.
+_RUNNER = """\
+import contextlib, io, json, sys
+argvs, encode, stdout = json.load(sys.stdin), json.JSONEncoder().encode, sys.stdout
+sys.path.insert(0, sys.argv[1])
+from pathfold.cli import main
+for argv in argvs:
     out, err = io.StringIO(), io.StringIO()
-    with (
-        _modules(modules),
-        contextlib.redirect_stdout(out),
-        contextlib.redirect_stderr(err),
-    ):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            code = modules["pathfold.cli"].main(argv)
+            code = main(argv)
         except SystemExit as exc:
             code = exc.code
         except Exception as exc:  # a crash is an outcome to compare too
             code = f"raised {type(exc).__name__}: {exc}"
-    return code, out.getvalue(), err.getvalue()
+    print(encode([code, out.getvalue(), err.getvalue()]), file=stdout, flush=True)
+"""
+
+
+def outcomes(src: Path, argvs: list[list[str]]) -> list[list]:
+    """Exit code, stdout and stderr of ``pathfold.cli.main(argv)`` for each
+    argv, run by the source tree ``src`` in a child interpreter of its own.
+    Raises ``RuntimeError`` with the child's stderr unless the child exits 0
+    with one result per argv."""
+    # -I: no PYTHONPATH, user site or working directory on the child's path
+    child = subprocess.run(
+        [sys.executable, "-I", "-c", _RUNNER, str(src)],
+        input=json.dumps(argvs), capture_output=True, text=True,
+    )
+    lines = child.stdout.splitlines()
+    if child.returncode or len(lines) != len(argvs):
+        raise RuntimeError(
+            f"{src}: exit {child.returncode}, {len(lines)} results"
+            f" for {len(argvs)} calls\n{child.stderr}"
+        )
+    return [json.loads(line) for line in lines]
 
 
 def compare(old_src: Path, new_src: Path, calls: list[Call]) -> list[str]:
     """One line per call whose exit code, stdout or stderr differ."""
-    old, new = load(old_src), load(new_src)
-    diffs = []
     with tempfile.TemporaryDirectory() as tmp:
-        paths: dict[str, str] = {}
-        for i, call in enumerate(calls):
-            if call.text is None:
-                path = str(Path(tmp) / "missing.dtmc")
-            else:
-                path = paths.get(call.text)
-                if path is None:
-                    path = paths[call.text] = str(Path(tmp) / f"m{len(paths)}.dtmc")
-                    Path(path).write_text(call.text)
-            argv = [path if a == FILE else a for a in call.argv]
-            a, b = run(old, argv), run(new, argv)
-            for part, x, y in zip(("exit code", "stdout", "stderr"), a, b):
-                if x != y:
-                    shown = " ".join(call.argv)
-                    diffs.append(f"{i} {call.model}: {shown}: {part} {x!r} != {y!r}")
+        argvs = model_argvs(calls, Path(tmp))
+        old, new = outcomes(old_src, argvs), outcomes(new_src, argvs)
+    diffs = []
+    for i, (call, a, b) in enumerate(zip(calls, old, new)):
+        for part, x, y in zip(("exit code", "stdout", "stderr"), a, b):
+            if x != y:
+                shown = " ".join(call.argv)
+                diffs.append(f"{i} {call.model}: {shown}: {part} {x!r} != {y!r}")
     return diffs
 
 
