@@ -28,7 +28,9 @@ The pass that combines two rows also updates which rows hold each
 column.  Eliminating one unknown is itself a collapse of one state, and
 the collapse is exact along any sequence of subsets, so the elimination
 order is picked for cost alone: sparsest column first, and the rows the
-collapse reads last, so that back substitution touches only those.
+collapse reads last.  The same combination then clears those rows of each
+other's columns, from the last one up, so each is left holding its own
+diagonal and right-hand side.
 """
 
 from __future__ import annotations
@@ -154,11 +156,12 @@ def solve_linear(
     the exact eliminated row; rows already zero there are never touched.
     That same pass updates the per-column sets of live rows the heap's
     counts are read from.  A column no live row reaches means the matrix
-    is singular, whatever ``rows`` asks for.  Back substitution then runs
-    over the pivots of the wanted unknowns only: they come last, so they
-    refer to nothing else.  It works on integer numerators with one
-    denominator per row; ``Fraction``s are built only for the returned
-    entries.
+    is singular, whatever ``rows`` asks for.  The wanted unknowns are
+    pivoted last, so each of their pivot rows holds only its own column
+    and later pivots' ones.  From the last pivot up, :func:`_cancel`
+    clears each such column with that column's pivot row, which by then
+    holds only its own.  A wanted entry is then its row's ``b`` entry over
+    the diagonal, one ``Fraction`` each.
     """
     m = len(system.a)
     wanted = tuple(rows)
@@ -182,7 +185,7 @@ def solve_linear(
     heap = [(c in tail, len(h), c) for c, h in enumerate(holders)]
     heapq.heapify(heap)
     done = [False] * m
-    pivots: list[tuple[int, dict[int, int]]] = []
+    pivots: list[tuple[int, int]] = []
     while heap:
         _, count, col = heapq.heappop(heap)
         if done[col] or count != len(holders[col]):
@@ -195,7 +198,7 @@ def solve_linear(
         else:
             p = min([(len(live[r]), r) for r in holders[col]])[1]
         piv = live[p]
-        pivots.append((col, piv))
+        pivots.append((col, p))
         touched = set()
         for c in piv:
             if c < m:
@@ -206,7 +209,15 @@ def solve_linear(
         for c in touched:
             if not done[c]:
                 heapq.heappush(heap, (c in tail, len(holders[c]), c))
-    solved = _back_substitute(pivots[m - len(tail):], m, len(system.b[0]) if m else 0)
+    rhs = range(m, m + len(system.b[0])) if m else ()
+    reduced: dict[int, dict[int, int]] = {}
+    solved: dict[int, tuple[Fraction, ...]] = {}
+    for col, p in reversed(pivots[m - len(tail):]):
+        row = reduced[col] = live[p]
+        for c in [c for c in row if c < m and c != col]:
+            # dead bookkeeping: no live row is left to read ``holders``
+            _cancel(row, p, reduced[c], c, holders, touched)
+        solved[col] = tuple([Fraction(row.get(c, 0), row[col]) for c in rhs])
     return tuple([solved[i] for i in wanted])
 
 
@@ -218,10 +229,11 @@ def _cancel(
     holders: list[set[int]],
     touched: set[int],
 ) -> None:
-    """Rewrite live row ``r`` in place as itself minus the multiple of
-    ``piv`` that zeroes column ``col``, cross-multiplied to stay integral
-    and divided by its content; scaling and division are skipped when the
-    factor is 1.
+    """Rewrite row ``r`` in place as itself minus the multiple of ``piv``
+    that zeroes column ``col``, cross-multiplied to stay integral and
+    divided by its content; scaling and division are skipped when the
+    factor is 1.  This is the solve's one row combination: it eliminates
+    down the live rows and then clears the wanted pivot rows upwards.
 
     The same pass over ``piv`` keeps the column bookkeeping: an unknown's
     column that gains an entry gets ``r`` added to its ``holders`` set, one
@@ -254,44 +266,6 @@ def _cancel(
     if g > 1:
         for c in row:
             row[c] //= g
-
-
-def _back_substitute(
-    pivots: list[tuple[int, dict[int, int]]], m: int, k: int
-) -> dict[int, tuple[Fraction, ...]]:
-    """Solve ``(column, row)`` pivots from the last one up.
-
-    Each pivot row refers only to its own column and to columns pivoted
-    after it.  A column's solution is held as numerators over one common
-    denominator, of either sign; the right-hand side starts at column ``m``.
-    Returns each pivot column's solution as ``Fraction``s.
-    """
-    dens: dict[int, int] = {}
-    nums: dict[int, list[int]] = {}
-    solved: dict[int, tuple[Fraction, ...]] = {}
-    for col, row in reversed(pivots):
-        later = []
-        common = 1
-        for c, x in row.items():
-            if c < m and c != col:
-                later.append((c, x))
-                if common % dens[c]:
-                    common = lcm(common, dens[c])
-        acc = [row.get(c, 0) for c in range(m, m + k)]
-        if common != 1:
-            acc = [a * common for a in acc]
-        for c, x in later:
-            w = x * (common // dens[c])
-            acc = [a - w * y for a, y in zip(acc, nums[c])]
-        den = row[col] * common
-        g = gcd(den, *acc)
-        if g != 1:
-            den //= g
-            acc = [a // g for a in acc]
-        dens[col] = den
-        nums[col] = acc
-        solved[col] = tuple([Fraction(a, den) for a in acc])
-    return solved
 
 
 class _Fold:

@@ -159,6 +159,7 @@ def refine(
     exact reachability probability itself whenever the final subset covers
     all non-absorbing states.
     """
+    state_set((target,), d.n)  # a bad target is named alone, as a bad goal is
     if d.prob(target, target) != 1:
         raise GoalNotAbsorbingError(f"target {target} is not absorbing")
     if isinstance(threshold, float):

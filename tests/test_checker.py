@@ -296,6 +296,12 @@ def test_refine_rejects_out_of_range_sequence(me):
         refine(me, 7, Fraction(1, 2), [frozenset({2, 99})])
 
 
+def test_refine_rejects_out_of_range_target_naming_the_state(me):
+    for target in (0, 9):
+        with pytest.raises(ValueError, match=rf"^state {target} out of range 1\.\.8$"):
+            refine(me, target, Fraction(1, 2), [S1])
+
+
 def test_refine_rejects_non_absorbing_target(me):
     with pytest.raises(GoalNotAbsorbingError):
         refine(me, 3, Fraction(1, 2), [S1])

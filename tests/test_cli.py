@@ -465,6 +465,13 @@ def test_refine_command_non_absorbing_target_exits_2(capsys):
     assert "not absorbing" in err
 
 
+def test_refine_command_out_of_range_target_exits_2(capsys, tmp_path):
+    model = tmp_path / "three.dtmc"
+    model.write_text("dtmc 3 1\n1 2 1/2\n1 3 1/2\n2 2 1\n3 3 1\n")
+    argv = ("refine", str(model), "--target", "9", "--threshold", "1/2", "--seq", "1")
+    assert run(capsys, *argv) == (2, "", "error: state 9 out of range 1..3\n")
+
+
 def test_refine_command_bad_threshold_exits_2(capsys):
     for bad in ("0.4", "1/0", "00/0"):
         code, _, err = run(

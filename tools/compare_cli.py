@@ -14,6 +14,9 @@ project, on the same seeded list of calls:
 * long folds: nested cycles 40 and 120 levels deep under each method, and
   a 40-block ladder with the benchmark's two calls and ``check --method
   scc``;
+* windows of 12 to 16 states on wide chains of 60 to 90, most of them
+  entries that feed each other, through ``abstract``: there the solve
+  clears the most wanted rows of each other's columns;
 * lattices whose routes all tie, through ``refine --concretize``;
 * the random models and nested cycles of ``tests/helpers.py``;
 * the worked 8-state example;
@@ -165,6 +168,18 @@ def _long_folds() -> list[Call]:
     return calls + [Call(ladder.name, ladder.text(), argv) for argv in argvs]
 
 
+def _wide_windows() -> list[Call]:
+    """``abstract`` with and without ``--prune`` on a wide chain window."""
+    calls = []
+    sizes = [(n, w) for n in range(60, 91, 6) for w in range(12, 17)]
+    for i, (n, w) in enumerate(sizes):
+        case = families.wide_chain(SEED, i, n, w)
+        (abstract,) = case.calls  # the benchmark's call, ending in --prune
+        for argv in (abstract, abstract[:-1]):
+            calls.append(Call(case.name, case.text(), argv))
+    return calls
+
+
 def _worked_example() -> list[Call]:
     text = (ROOT / "tests" / "data" / "example8.dtmc").read_text()
     argvs = []
@@ -239,7 +254,7 @@ def build_calls() -> list[Call]:
         calls += _model_calls(rng, name, d)
     ladder = families.ladder(SEED, 5, 12)
     calls += [Call(ladder.name, ladder.text(), call) for call in ladder.calls]
-    calls += _long_folds()
+    calls += _long_folds() + _wide_windows()
     for k in (3, 5, 7):
         calls += _tied_routes(k)
     return calls + _worked_example() + _invalid()
