@@ -180,9 +180,8 @@ def _cmd_check(args: argparse.Namespace, d: Dtmc) -> int:
         payload["total"] = _fmt(result.total)
         print(json.dumps(payload))
     else:
-        for g, p in ordered:
-            print(f"{g} {_fmt(p)}")
-        print(f"total {_fmt(result.total)}")
+        lines = [f"{g} {_fmt(p)}\n" for g, p in ordered]
+        sys.stdout.write("".join(lines) + f"total {_fmt(result.total)}\n")
     return 0
 
 
@@ -285,7 +284,9 @@ _PARSER = _build_parser()
 def main(argv: list[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
     try:
-        d = parse(Path(args.file).read_text(encoding="utf-8"))
+        # one read of the bytes; parse's splitlines() ends a line at \r\n or
+        # \r, so no newline translation is needed
+        d = parse(Path(args.file).read_bytes().decode("utf-8"))
     except (OSError, UnicodeDecodeError, ModelFormatError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

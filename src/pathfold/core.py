@@ -93,13 +93,15 @@ class Dtmc:
 
     :meth:`from_transitions` is the one builder: it takes any value
     :class:`Fraction` takes except a binary ``float``, which raises
-    ``TypeError``, and builds the lists.  ``Dtmc(init, rows, succ)`` is the
-    writers' internal form, which takes ``rows`` and ``succ`` as given:
-    they must agree, and :func:`validate` does not cross-check them.
-    A collapse hands the lists on, rewriting only its members' lists, and a
-    prune renumbers them.  Equality, hashing and ``repr`` look at ``init``
-    and ``rows`` alone.  A chain is immutable: assigning or deleting a field
-    raises ``AttributeError``.
+    ``TypeError``, and builds the lists.  It stores a :class:`Fraction`
+    value as given, which is safe since a :class:`Fraction` is immutable,
+    and converts any other value, a subclass of :class:`Fraction` too.
+    ``Dtmc(init, rows, succ)`` is the writers' internal form, which takes
+    ``rows`` and ``succ`` as given: they must agree, and :func:`validate`
+    does not cross-check them.  A collapse hands the lists on, rewriting
+    only its members' lists, and a prune renumbers them.  Equality, hashing
+    and ``repr`` look at ``init`` and ``rows`` alone.  A chain is
+    immutable: assigning or deleting a field raises ``AttributeError``.
     """
 
     __slots__ = ("init", "rows", "succ")
@@ -143,6 +145,12 @@ class Dtmc:
     def from_transitions(
         cls, n: int, init: int, transitions: Mapping[tuple[int, int], object]
     ) -> "Dtmc":
+        """The chain with entry ``p`` at each ``(s, t)`` and zero elsewhere.
+
+        A value of class :class:`Fraction` is stored as given; any other is
+        converted with ``Fraction(p)``, and a binary ``float`` raises
+        ``TypeError``.
+        """
         zero = Fraction(0)
         empty = (zero,) * n
         rows: list = [empty] * n
@@ -150,12 +158,14 @@ class Dtmc:
         for (s, t), p in transitions.items():
             if not (1 <= s <= n and 1 <= t <= n):
                 raise ValueError(f"state pair ({s},{t}) out of range 1..{n}")
-            if isinstance(p, float):
-                raise TypeError(f"entry ({s},{t}) is a binary float: {p!r}")
+            if p.__class__ is not Fraction:
+                if isinstance(p, float):
+                    raise TypeError(f"entry ({s},{t}) is a binary float: {p!r}")
+                p = Fraction(p)  # type: ignore[arg-type]
             row = rows[s - 1]
             if row is empty:
                 rows[s - 1] = row = [zero] * n
-            row[t - 1] = p = Fraction(p)  # type: ignore[arg-type]
+            row[t - 1] = p
             if p.numerator:
                 succ[s - 1].append(t)
         for targets in succ:

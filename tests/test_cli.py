@@ -1,5 +1,7 @@
 """Text format parsing, canonical serialization, and the three commands."""
 
+import errno
+import os
 import random
 import subprocess
 import sys
@@ -271,19 +273,70 @@ def test_check_command_non_ascii_goal_exits_2(capsys):
     assert err.startswith("error: ")
 
 
+def _os_error(number: int, path: str) -> str:
+    return f"error: [Errno {number}] {os.strerror(number)}: {path!r}\n"
+
+
 def test_check_command_missing_file_exits_1(capsys, tmp_path):
-    code, _, err = run(capsys, "check", str(tmp_path / "nope.dtmc"), "--goal", "2")
-    assert code == 1
-    assert err
+    missing = str(tmp_path / "nope.dtmc")
+    code, out, err = run(capsys, "check", missing, "--goal", "2")
+    assert (code, out) == (1, "")
+    assert err == _os_error(errno.ENOENT, missing)
+
+
+def test_check_command_directory_or_empty_path_exits_1(capsys, tmp_path, monkeypatch):
+    # an empty name is the working directory, as pathlib reads it
+    monkeypatch.chdir(tmp_path)
+    for path, shown in [(str(tmp_path), str(tmp_path)), (".", "."), ("", ".")]:
+        code, out, err = run(capsys, "check", path, "--goal", "2")
+        assert (code, out) == (1, "")
+        assert err == _os_error(errno.EISDIR, shown)
+    # pathlib drops a trailing slash, so the file is read
+    code, out, _ = run(capsys, "check", f"{EXAMPLE}/", "--goal", "7,8")
+    assert (code, out) == (0, "7 5/9\n8 4/9\ntotal 1/1\n")
 
 
 def test_check_command_non_utf8_file_exits_1(capsys, tmp_path):
+    # the position counts from the start of the file, also past io's 8 KiB
+    # buffer, from whose start a decoder fed buffer by buffer would count
+    model = b"dtmc 2 1\n1 2 1\n2 2 1\n"
     bad = tmp_path / "latin1.dtmc"
-    bad.write_bytes(b"# caf\xff\ndtmc 2 1\n1 2 1\n2 2 1\n")
-    code, out, err = run(capsys, "check", str(bad), "--goal", "2")
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error: ")
+    for text in [b"# caf\xff\n" + model, model + b"# pad\n" * 4000 + b"# caf\xff\n"]:
+        bad.write_bytes(text)
+        code, out, err = run(capsys, "check", str(bad), "--goal", "2")
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: 'utf-8' codec can't decode byte 0xff in position"
+            f" {text.index(0xFF)}: invalid start byte\n"
+        )
+
+
+READ_CALLS = [
+    ("check", "--goal", "7,8"),
+    ("check", "--goal", "7,8", "--json"),
+    ("abstract", "--set", "2,5,6", "--prune"),
+    ("refine", "--target", "7", "--threshold", "4/9", "--seq", "2,5,6;1,2,3,4",
+     "--concretize"),
+]
+
+
+def test_crlf_and_lone_cr_line_endings_read_like_newlines(capsys, tmp_path):
+    text = "# the worked example  \n\n" + EXAMPLE.read_text()
+    bad = text + "# the next line is 19\n1 9 1/2\n"
+    outputs = {}
+    for name, end in [("lf", "\n"), ("crlf", "\r\n"), ("cr", "\r")]:
+        model, broken = tmp_path / f"{name}.dtmc", tmp_path / f"{name}-bad.dtmc"
+        model.write_bytes(text.replace("\n", end).encode())
+        broken.write_bytes(bad.replace("\n", end).encode())
+        outputs[name] = [
+            run(capsys, cmd, str(model), *rest) for cmd, *rest in READ_CALLS
+        ]
+        code, out, err = run(capsys, "check", str(broken), "--goal", "7,8")
+        assert (code, out) == (1, "")
+        assert err == "error: line 19: state pair (1,9) out of range 1..8\n"
+    assert outputs["crlf"] == outputs["lf"] == outputs["cr"]
+    assert [code for code, _, _ in outputs["lf"]] == [0, 0, 0, 3]
+    assert outputs["lf"][0][1] == "7 5/9\n8 4/9\ntotal 1/1\n"
 
 
 def test_abstract_command_collapse(capsys):

@@ -7,6 +7,7 @@ import pickle
 import random
 import sys
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -195,6 +196,29 @@ def test_from_transitions_rejects_out_of_range_pairs():
     for pair in [(0, 1), (-1, 1), (1, 3), (3, 1), (1, 0)]:
         with pytest.raises(ValueError, match=r"out of range 1\.\.2"):
             Dtmc.from_transitions(2, 1, {pair: 1})
+
+
+def test_from_transitions_keeps_a_fraction_and_converts_every_other_value():
+    # a Fraction is immutable, so the builder stores the object it is given;
+    # any other value comes out as a plain Fraction, a subclass's too, which
+    # an isinstance test would have let through
+    half = Fraction(1, 2)
+    d = Dtmc.from_transitions(2, 1, {(1, 1): half, (1, 2): half, (2, 2): 1})
+    assert d.prob(1, 1) is half and d.prob(1, 2) is half
+    sub = type("SubFraction", (Fraction,), {})
+    for value, want in [
+        (1, 1),
+        (0, 0),
+        ("2/6", Fraction(1, 3)),
+        (Decimal("0.25"), Fraction(1, 4)),
+        (True, 1),
+        (False, 0),
+        (sub(2, 7), Fraction(2, 7)),
+    ]:
+        p = Dtmc.from_transitions(1, 1, {(1, 1): value}).prob(1, 1)
+        assert p.__class__ is Fraction and p == want, value
+    with pytest.raises(TypeError, match=r"^entry \(1,1\) is a binary float: 0\.5$"):
+        Dtmc.from_transitions(1, 1, {(1, 1): 0.5})
 
 
 def test_builders_reject_binary_floats():

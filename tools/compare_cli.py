@@ -19,7 +19,8 @@ project, on the same seeded list of calls:
   clears the most wanted rows of each other's columns;
 * lattices whose routes all tie, through ``refine --concretize``;
 * the random models and nested cycles of ``tests/helpers.py``;
-* the worked 8-state example;
+* the worked 8-state example, also with ``\\r\\n`` and with lone ``\\r``
+  line endings and a bad line in each, and the paths ``.`` and ``""``;
 * invalid inputs and calls that exit 1 and 2.
 
 Every model gets ``check`` with each method, with and without ``--json``,
@@ -59,7 +60,8 @@ SEED = 12
 @dataclass(frozen=True)
 class Call:
     """One CLI call: ``argv`` names the model file as :data:`FILE`; a call
-    whose ``text`` is None gets a path where no file exists."""
+    whose ``text`` is None gets a path where no file exists, and an ``argv``
+    without :data:`FILE` keeps the path it gives."""
 
     model: str
     text: str | None
@@ -201,6 +203,29 @@ def _worked_example() -> list[Call]:
     return [Call("example8", text, argv) for argv in argvs]
 
 
+def _line_endings() -> list[Call]:
+    """The worked example read with ``\\r\\n`` and with lone ``\\r`` line
+    endings, a bad line at the same line number in each, and the paths
+    ``.`` and ``""``, which name a directory."""
+    example = (ROOT / "tests" / "data" / "example8.dtmc").read_text()
+    text = "# the worked example\n\n" + example
+    argvs = [
+        ("check", FILE, "--goal", "7,8"),
+        ("check", FILE, "--goal", "7,8", "--json"),
+        ("abstract", FILE, "--set", "2,5,6", "--prune"),
+        ("refine", FILE, "--target", "7", "--threshold", "4/9",
+         "--seq", "2,5,6;1,2,3,4", "--concretize"),
+    ]
+    calls = []
+    for name, end in (("crlf", "\r\n"), ("cr", "\r")):
+        model = text.replace("\n", end)
+        calls += [Call(f"example8-{name}", model, argv) for argv in argvs]
+        calls.append(Call(f"bad-line-{name}", model + f"1 9 1/2{end}", argvs[0]))
+    for path in (".", ""):
+        calls.append(Call("directory", None, ("check", path, "--goal", "2")))
+    return calls
+
+
 def _invalid() -> list[Call]:
     """Inputs rejected with exit 1 (unreadable or invalid model) or 2 (bad
     arguments for a valid model)."""
@@ -257,7 +282,7 @@ def build_calls() -> list[Call]:
     calls += _long_folds() + _wide_windows()
     for k in (3, 5, 7):
         calls += _tied_routes(k)
-    return calls + _worked_example() + _invalid()
+    return calls + _worked_example() + _line_endings() + _invalid()
 
 
 def model_argvs(calls: list[Call], tmp: Path) -> list[list[str]]:
@@ -269,7 +294,7 @@ def model_argvs(calls: list[Call], tmp: Path) -> list[list[str]]:
         path = paths.get(call.text)
         if path is None:
             path = paths[call.text] = str(tmp / f"m{len(paths)}.dtmc")
-            Path(path).write_text(call.text)
+            Path(path).write_text(call.text, newline="")  # line endings as given
         argvs.append([path if a == FILE else a for a in call.argv])
     return argvs
 
