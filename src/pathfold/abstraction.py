@@ -215,8 +215,7 @@ def solve_linear(
     for col, p in reversed(pivots[m - len(tail):]):
         row = reduced[col] = live[p]
         for c in [c for c in row if c < m and c != col]:
-            # dead bookkeeping: no live row is left to read ``holders``
-            _cancel(row, p, reduced[c], c, holders, touched)
+            _cancel(row, p, reduced[c], c, (), set())
         solved[col] = tuple([Fraction(row.get(c, 0), row[col]) for c in rhs])
     return tuple([solved[i] for i in wanted])
 
@@ -226,7 +225,7 @@ def _cancel(
     r: int,
     piv: dict[int, int],
     col: int,
-    holders: list[set[int]],
+    holders: Sequence[set[int]],
     touched: set[int],
 ) -> None:
     """Rewrite row ``r`` in place as itself minus the multiple of ``piv``
@@ -235,10 +234,12 @@ def _cancel(
     factor is 1.  This is the solve's one row combination: it eliminates
     down the live rows and then clears the wanted pivot rows upwards.
 
-    The same pass over ``piv`` keeps the column bookkeeping: an unknown's
-    column that gains an entry gets ``r`` added to its ``holders`` set, one
-    that loses its entry gets ``r`` dropped, and either way the column
-    joins ``touched``.  Columns from ``len(holders)`` on are ``b``'s.
+    The same pass over ``piv`` keeps the forward elimination's column
+    bookkeeping: an unknown's column that gains an entry gets ``r`` added
+    to its ``holders`` set, one that loses its entry gets ``r`` dropped,
+    and either way the column joins ``touched``.  Columns from
+    ``len(holders)`` on are ``b``'s, so the upward pass, which no live row
+    follows, hands no holders and tracks no column.
     """
     m = len(holders)
     p, f = piv[col], row[col]

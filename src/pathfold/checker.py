@@ -160,14 +160,14 @@ def refine(
     all non-absorbing states.
     """
     state_set((target,), d.n)  # a bad target is named alone, as a bad goal is
-    if d.prob(target, target) != 1:
+    k = non_absorbing(d)
+    if target in k:
         raise GoalNotAbsorbingError(f"target {target} is not absorbing")
     if isinstance(threshold, float):
         raise TypeError(f"threshold {threshold!r} is a binary float")
     threshold = Fraction(threshold)
     if not 0 <= threshold <= 1:
         raise ValueError(f"threshold {threshold} is not in 0..1")
-    k = non_absorbing(d)
     sets: list[StateSet] = []
     for i, subset in enumerate(subsets):
         try:

@@ -86,10 +86,15 @@ def _parse_prob(token: str, line: int) -> Fraction:
 
 
 def parse(text: str) -> Dtmc:
-    """Parse model text; the result always satisfies :func:`core.validate`."""
+    """Parse model text; the result always satisfies :func:`core.validate`.
+
+    A line ends at ``\\n``, ``\\r\\n`` or ``\\r`` and at no other character,
+    so a form feed or U+2028 inside a comment stays in the comment, and
+    error messages count lines the same way for all three."""
     header: tuple[int, int] | None = None
     entries: dict[tuple[int, int], Fraction] = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for line_no, raw in enumerate(lines, start=1):
         stripped = raw.split("#", 1)[0].strip()
         if not stripped:
             continue
@@ -284,8 +289,8 @@ _PARSER = _build_parser()
 def main(argv: list[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
     try:
-        # one read of the bytes; parse's splitlines() ends a line at \r\n or
-        # \r, so no newline translation is needed
+        # one read of the bytes; parse ends a line at \r\n or \r too, so no
+        # newline translation is needed
         d = parse(Path(args.file).read_bytes().decode("utf-8"))
     except (OSError, UnicodeDecodeError, ModelFormatError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     K,
+    MODELS,
     S1,
     S2,
     most_probable_path_by_prob,
@@ -305,6 +306,31 @@ def test_refine_rejects_out_of_range_target_naming_the_state(me):
 def test_refine_rejects_non_absorbing_target(me):
     with pytest.raises(GoalNotAbsorbingError):
         refine(me, 3, Fraction(1, 2), [S1])
+
+
+def _rejected_as_not_absorbing(call) -> bool:
+    try:
+        call()
+    except GoalNotAbsorbingError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("kind", sorted(MODELS))
+def test_refine_and_model_check_share_one_absorption_test(kind):
+    # a target is rejected exactly when the same state as a goal would be
+    rng = random.Random(61)
+    seen = set()
+    for _ in range(80):
+        d = MODELS[kind](rng, rng.randint(2, 5))
+        for t in d.states():
+            if t != d.init:
+                rejected = _rejected_as_not_absorbing(lambda: refine(d, t, 0, []))
+                assert rejected == _rejected_as_not_absorbing(
+                    lambda: model_check(d, {t})
+                )
+                seen.add(rejected)
+    assert seen == {True, False}
 
 
 def test_refine_rejects_threshold_outside_zero_to_one():

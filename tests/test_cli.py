@@ -339,6 +339,33 @@ def test_crlf_and_lone_cr_line_endings_read_like_newlines(capsys, tmp_path):
     assert outputs["lf"][0][1] == "7 5/9\n8 4/9\ntotal 1/1\n"
 
 
+# every character besides \n and \r at which str.splitlines() ends a line:
+# VT, FF, FS, GS, RS, NEL, LINE SEPARATOR and PARAGRAPH SEPARATOR
+OTHER_SEPARATORS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("sep", OTHER_SEPARATORS, ids=lambda sep: f"U+{ord(sep):04X}")
+def test_a_comment_holding_another_line_separator_stays_a_comment(sep):
+    # what follows the separator is still the comment, not a transition
+    d = parse(f"dtmc 2 1\n# note{sep}1 2 1/2\n1 1 1/2\n2 2 1\n")
+    assert d == parse("dtmc 2 1\n1 1 1/2\n2 2 1\n")
+    assert d.prob(1, 2) == 0
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_a_nel_in_a_comment_moves_no_line_number(capsys, tmp_path, end):
+    # the NEL in the comment ends no line, so the bad pair is on line 4
+    text = end.join(["dtmc 2 1", "# a\x85b", "2 2 1", "1 3 1/2", ""])
+    with pytest.raises(ModelSyntaxError) as info:
+        parse(text)
+    assert info.value.line == 4
+    model = tmp_path / "nel.dtmc"
+    model.write_bytes(text.encode())
+    code, out, err = run(capsys, "check", str(model), "--goal", "2")
+    assert (code, out) == (1, "")
+    assert err == "error: line 4: state pair (1,3) out of range 1..2\n"
+
+
 def test_abstract_command_collapse(capsys):
     code, out, _ = run(capsys, "abstract", str(EXAMPLE), "--set", "2,5,6")
     assert code == 0

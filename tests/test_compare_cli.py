@@ -38,6 +38,10 @@ def test_the_call_list_reaches_every_command_and_exit_code(ours):
     assert {m for call in CALLS for m in call.argv} >= set(compare_cli.METHODS)
     assert len(ours) == len(CALLS)
     assert {code for code, _, _ in ours} == {0, 1, 2, 3}
+    # the model bytes reach the CLI as given, a byte that is not UTF-8 too
+    (not_utf8,) = [o for call, o in zip(CALLS, ours) if call.model == "not-utf-8"]
+    assert not_utf8[:2] == [1, ""]
+    assert not_utf8[2].startswith("error: 'utf-8' codec can't decode byte 0xff")
 
 
 def test_an_unchanged_copy_shows_no_difference(tmp_path):

@@ -22,15 +22,19 @@ from pathfold.core import ValidationError
 # it allocates anything.
 MAX_STATES = 40
 
+# with the characters other than \n and \r that str.splitlines() ends a
+# line at, which parse reads as whitespace inside a line
 TOKENS = ["dtmc", "#", "0", "1", "2", "3", "7", "40", "1/2", "2/3", "1/3",
           "3/2", "1/0", "0/1", "-1", "+1", "1.5", "٧", "x", "", " ",
-          "99999999999999999999"]
+          "99999999999999999999",
+          "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 
 
 def _small_headers(text: str) -> bool:
     """True when no line of ``text`` could be read as a header naming more
-    than :data:`MAX_STATES` states and fewer than ``2**63``."""
-    for line in text.splitlines():
+    than :data:`MAX_STATES` states and fewer than ``2**63``.  Lines end
+    where parse ends them: at ``\\n``, ``\\r\\n`` or ``\\r``."""
+    for line in text.replace("\r\n", "\n").replace("\r", "\n").split("\n"):
         tokens = line.split("#", 1)[0].split()
         if len(tokens) == 3 and tokens[0] == "dtmc" and tokens[1].isdecimal():
             count = int(tokens[1])

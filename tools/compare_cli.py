@@ -21,7 +21,8 @@ project, on the same seeded list of calls:
 * the random models and nested cycles of ``tests/helpers.py``;
 * the worked 8-state example, also with ``\\r\\n`` and with lone ``\\r``
   line endings and a bad line in each, and the paths ``.`` and ``""``;
-* invalid inputs and calls that exit 1 and 2.
+* invalid inputs, among them a byte that is not UTF-8, and calls that exit
+  1 and 2.
 
 Every model gets ``check`` with each method, with and without ``--json``,
 ``abstract`` with and without ``--prune``, and ``refine`` with and without
@@ -59,19 +60,20 @@ SEED = 12
 
 @dataclass(frozen=True)
 class Call:
-    """One CLI call: ``argv`` names the model file as :data:`FILE`; a call
-    whose ``text`` is None gets a path where no file exists, and an ``argv``
-    without :data:`FILE` keeps the path it gives."""
+    """One CLI call: ``argv`` names the model file as :data:`FILE`, whose
+    bytes are ``text``; a call whose ``text`` is None gets a path where no
+    file exists, and an ``argv`` without :data:`FILE` keeps the path it
+    gives."""
 
     model: str
-    text: str | None
+    text: bytes | None
     argv: tuple[str, ...]
 
 
-def _text(n: int, init: int, entries) -> str:
+def _text(n: int, init: int, entries) -> bytes:
     lines = [f"dtmc {n} {init}"]
     lines += [f"{s} {t} {p.numerator}/{p.denominator}" for s, t, p in entries]
-    return "\n".join(lines) + "\n"
+    return ("\n".join(lines) + "\n").encode()
 
 
 def _csv(states) -> str:
@@ -167,7 +169,7 @@ def _long_folds() -> list[Call]:
     ladder = families.ladder(SEED, 6, 40)
     goals = f"{ladder.params['fail']},{ladder.params['goal']}"
     argvs = [*ladder.calls, ("check", FILE, "--goal", goals, "--method", "scc")]
-    return calls + [Call(ladder.name, ladder.text(), argv) for argv in argvs]
+    return calls + [Call(ladder.name, ladder.text().encode(), argv) for argv in argvs]
 
 
 def _wide_windows() -> list[Call]:
@@ -178,12 +180,12 @@ def _wide_windows() -> list[Call]:
         case = families.wide_chain(SEED, i, n, w)
         (abstract,) = case.calls  # the benchmark's call, ending in --prune
         for argv in (abstract, abstract[:-1]):
-            calls.append(Call(case.name, case.text(), argv))
+            calls.append(Call(case.name, case.text().encode(), argv))
     return calls
 
 
 def _worked_example() -> list[Call]:
-    text = (ROOT / "tests" / "data" / "example8.dtmc").read_text()
+    text = (ROOT / "tests" / "data" / "example8.dtmc").read_bytes()
     argvs = []
     for method in METHODS:
         argvs += [
@@ -207,8 +209,8 @@ def _line_endings() -> list[Call]:
     """The worked example read with ``\\r\\n`` and with lone ``\\r`` line
     endings, a bad line at the same line number in each, and the paths
     ``.`` and ``""``, which name a directory."""
-    example = (ROOT / "tests" / "data" / "example8.dtmc").read_text()
-    text = "# the worked example\n\n" + example
+    example = (ROOT / "tests" / "data" / "example8.dtmc").read_bytes()
+    text = b"# the worked example\n\n" + example
     argvs = [
         ("check", FILE, "--goal", "7,8"),
         ("check", FILE, "--goal", "7,8", "--json"),
@@ -217,10 +219,10 @@ def _line_endings() -> list[Call]:
          "--seq", "2,5,6;1,2,3,4", "--concretize"),
     ]
     calls = []
-    for name, end in (("crlf", "\r\n"), ("cr", "\r")):
-        model = text.replace("\n", end)
+    for name, end in (("crlf", b"\r\n"), ("cr", b"\r")):
+        model = text.replace(b"\n", end)
         calls += [Call(f"example8-{name}", model, argv) for argv in argvs]
-        calls.append(Call(f"bad-line-{name}", model + f"1 9 1/2{end}", argvs[0]))
+        calls.append(Call(f"bad-line-{name}", model + b"1 9 1/2" + end, argvs[0]))
     for path in (".", ""):
         calls.append(Call("directory", None, ("check", path, "--goal", "2")))
     return calls
@@ -231,21 +233,22 @@ def _invalid() -> list[Call]:
     arguments for a valid model)."""
     check = ("check", FILE, "--goal", "2")
     bad_models = {
-        "no-header": "1 2 1/1\n",
-        "bad-header": "dtmc two 1\n",
-        "empty": "",
-        "bad-prob": "dtmc 2 1\n1 2 0.5\n",
-        "prob-above-one": "dtmc 2 1\n1 2 3/2\n",
-        "zero-denominator": "dtmc 2 1\n1 2 1/0\n",
-        "row-sum-above-one": "dtmc 2 1\n1 2 2/3\n1 1 2/3\n2 2 1\n",
-        "pair-out-of-range": "dtmc 2 1\n1 3 1\n",
-        "duplicate": "dtmc 2 1\n1 2 1/2\n1 2 1/2\n2 2 1\n",
-        "init-out-of-range": "dtmc 2 3\n1 2 1\n2 2 1\n",
-        "short-line": "dtmc 2 1\n1 2\n",
+        "no-header": b"1 2 1/1\n",
+        "bad-header": b"dtmc two 1\n",
+        "empty": b"",
+        "bad-prob": b"dtmc 2 1\n1 2 0.5\n",
+        "prob-above-one": b"dtmc 2 1\n1 2 3/2\n",
+        "zero-denominator": b"dtmc 2 1\n1 2 1/0\n",
+        "row-sum-above-one": b"dtmc 2 1\n1 2 2/3\n1 1 2/3\n2 2 1\n",
+        "pair-out-of-range": b"dtmc 2 1\n1 3 1\n",
+        "duplicate": b"dtmc 2 1\n1 2 1/2\n1 2 1/2\n2 2 1\n",
+        "init-out-of-range": b"dtmc 2 3\n1 2 1\n2 2 1\n",
+        "short-line": b"dtmc 2 1\n1 2\n",
+        "not-utf-8": b"dtmc 2 1\n# caf\xff\n1 2 1\n2 2 1\n",
     }
     calls = [Call(name, text, check) for name, text in bad_models.items()]
     calls.append(Call("missing-file", None, check))
-    valid = "dtmc 3 1\n1 2 1/2\n1 3 1/2\n2 2 1\n3 1 1/3\n3 2 2/3\n"
+    valid = b"dtmc 3 1\n1 2 1/2\n1 3 1/2\n2 2 1\n3 1 1/3\n3 2 2/3\n"
     bad_argvs = [
         ("check", FILE, "--goal", "3"),
         ("check", FILE, "--goal", "2,3"),
@@ -273,12 +276,12 @@ def build_calls() -> list[Call]:
     calls = []
     for case in _family_cases(SEED):
         d = helpers.Dtmc.from_transitions(case.n, case.init, case.entries)
-        calls += [Call(case.name, case.text(), call) for call in case.calls]
+        calls += [Call(case.name, case.text().encode(), call) for call in case.calls]
         calls += _model_calls(rng, case.name, d)
     for name, d in _helper_models(rng):
         calls += _model_calls(rng, name, d)
     ladder = families.ladder(SEED, 5, 12)
-    calls += [Call(ladder.name, ladder.text(), call) for call in ladder.calls]
+    calls += [Call(ladder.name, ladder.text().encode(), call) for call in ladder.calls]
     calls += _long_folds() + _wide_windows()
     for k in (3, 5, 7):
         calls += _tied_routes(k)
@@ -288,13 +291,13 @@ def build_calls() -> list[Call]:
 def model_argvs(calls: list[Call], tmp: Path) -> list[list[str]]:
     """Each call's argv, naming its model written once into ``tmp``, or
     a path there where no file exists for a call without text."""
-    paths: dict[str | None, str] = {None: str(tmp / "missing.dtmc")}
+    paths: dict[bytes | None, str] = {None: str(tmp / "missing.dtmc")}
     argvs = []
     for call in calls:
         path = paths.get(call.text)
         if path is None:
             path = paths[call.text] = str(tmp / f"m{len(paths)}.dtmc")
-            Path(path).write_text(call.text, newline="")  # line endings as given
+            Path(path).write_bytes(call.text)
         argvs.append([path if a == FILE else a for a in call.argv])
     return argvs
 
