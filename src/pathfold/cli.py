@@ -7,10 +7,11 @@ Model files look like::
     <src> <dst> <prob>
 
 One transition per line; ``prob`` is ``p/q`` or the bare integers 0 or 1;
-pairs not listed carry probability zero.  Serialization is canonical --
-positive entries sorted by source then destination, probabilities always
-in ``p/q`` lowest terms -- so parse and serialize round-trip bit for bit
-on canonical input.
+pairs not listed carry probability zero.  Spaces and tabs separate tokens;
+no other whitespace or control character may stand before a line's ``#``.
+Serialization is canonical -- positive entries sorted by source then
+destination, probabilities always in ``p/q`` lowest terms -- so parse and
+serialize round-trip bit for bit on canonical input.
 """
 
 from __future__ import annotations
@@ -55,13 +56,20 @@ class ProbabilityOutOfRangeError(ModelFormatError):
     pass
 
 
-_INT = re.compile(r"^[0-9]+$")
-_PROB = re.compile(r"^[0-9]+/[0-9]+$|^[01]$")
+# Space and tab: the only blanks, which separate the tokens of a model line
+# and may surround a command-line value.  Any other whitespace or control
+# character is an error in both: before a line's "#" it fails the line, and
+# in a value it stays in a token, which then fails _INT or _PROB.
+_BLANKS = " \t"
+_NO_BLANKS = str.maketrans("", "", _BLANKS)
+# matched whole with fullmatch, so no "$" admits a trailing newline
+_INT = re.compile(r"[0-9]+")
+_PROB = re.compile(r"[0-9]+/[0-9]+|[01]")
 
 
 def _fraction(token: str, what: str) -> Fraction:
     """``p/q``, 0 or 1 as a fraction; a ValueError names ``what`` otherwise."""
-    if not _PROB.match(token):
+    if not _PROB.fullmatch(token):
         raise ValueError(f"bad {what} {token!r} (want p/q, 0 or 1)")
     if "/" in token and token.split("/")[1].strip("0") == "":
         raise ValueError(f"zero denominator in {what} {token!r}")
@@ -90,20 +98,29 @@ def parse(text: str) -> Dtmc:
 
     A line ends at ``\\n``, ``\\r\\n`` or ``\\r`` and at no other character,
     so a form feed or U+2028 inside a comment stays in the comment, and
-    error messages count lines the same way for all three."""
+    error messages count lines the same way for all three.  Before its
+    ``#`` a line holds printable characters, spaces and tabs only."""
     header: tuple[int, int] | None = None
     entries: dict[tuple[int, int], Fraction] = {}
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     for line_no, raw in enumerate(lines, start=1):
-        stripped = raw.split("#", 1)[0].strip()
+        data = raw.split("#", 1)[0]
+        # one C-level test for the common line; a tab fails it, so only
+        # then are the blanks dropped and the rest tested again
+        if not data.isprintable() and not data.translate(_NO_BLANKS).isprintable():
+            bad = next(c for c in data if not (c.isprintable() or c in _BLANKS))
+            raise ModelSyntaxError(
+                line_no, f"U+{ord(bad):04X} is not a space, tab or printable character"
+            )
+        stripped = data.strip(_BLANKS)
         if not stripped:
             continue
-        tokens = stripped.split()
+        tokens = stripped.split()  # the blanks are the only whitespace left
         if header is None:
             if (
                 len(tokens) != 3
                 or tokens[0] != "dtmc"
-                or not (_INT.match(tokens[1]) and _INT.match(tokens[2]))
+                or not (_INT.fullmatch(tokens[1]) and _INT.fullmatch(tokens[2]))
             ):
                 raise ModelSyntaxError(
                     line_no, f"expected 'dtmc <n> <init>', got {stripped!r}"
@@ -116,7 +133,7 @@ def parse(text: str) -> Dtmc:
             raise ModelSyntaxError(
                 line_no, f"expected '<src> <dst> <prob>', got {stripped!r}"
             )
-        if not (_INT.match(tokens[0]) and _INT.match(tokens[1])):
+        if not (_INT.fullmatch(tokens[0]) and _INT.fullmatch(tokens[1])):
             raise ModelSyntaxError(
                 line_no, "source and destination must be positive integers"
             )
@@ -154,20 +171,20 @@ def _fmt_path(path) -> str:
 
 
 def _parse_states_csv(text: str) -> list[int]:
-    if not text.strip():
+    if not text.strip(_BLANKS):
         return []
     return [_parse_state(chunk) for chunk in text.split(",")]
 
 
 def _parse_state(text: str) -> int:
-    text = text.strip()
-    if not _INT.match(text):
+    text = text.strip(_BLANKS)
+    if not _INT.fullmatch(text):
         raise ValueError(f"bad state index {text!r}")
     return int(text)
 
 
 def _parse_threshold(text: str) -> Fraction:
-    text = text.strip()
+    text = text.strip(_BLANKS)
     value = _fraction(text, "threshold")
     if value > 1:
         raise ValueError(f"threshold {text} exceeds 1")
@@ -206,7 +223,7 @@ def _cmd_refine(args: argparse.Namespace, d: Dtmc) -> int:
     seq = [
         _parse_states_csv(segment)
         for segment in args.seq.split(";")
-        if segment.strip()
+        if segment.strip(_BLANKS)
     ]
     if not seq:
         raise ValueError("--seq needs at least one abstraction set")

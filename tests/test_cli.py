@@ -342,6 +342,12 @@ def test_crlf_and_lone_cr_line_endings_read_like_newlines(capsys, tmp_path):
 # every character besides \n and \r at which str.splitlines() ends a line:
 # VT, FF, FS, GS, RS, NEL, LINE SEPARATOR and PARAGRAPH SEPARATOR
 OTHER_SEPARATORS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+# with US, NO-BREAK SPACE, EN QUAD and IDEOGRAPHIC SPACE: whitespace to
+# str.split() and str.strip(), but no blank, since only space and tab are
+NOT_BLANKS = [*OTHER_SEPARATORS, "\x1f", "\xa0", "\u2000", "\u3000"]
+by_code_point = pytest.mark.parametrize(
+    "sep", NOT_BLANKS, ids=lambda sep: f"U+{ord(sep):04X}"
+)
 
 
 @pytest.mark.parametrize("sep", OTHER_SEPARATORS, ids=lambda sep: f"U+{ord(sep):04X}")
@@ -350,6 +356,86 @@ def test_a_comment_holding_another_line_separator_stays_a_comment(sep):
     d = parse(f"dtmc 2 1\n# note{sep}1 2 1/2\n1 1 1/2\n2 2 1\n")
     assert d == parse("dtmc 2 1\n1 1 1/2\n2 2 1\n")
     assert d.prob(1, 2) == 0
+
+
+@by_code_point
+def test_whitespace_other_than_space_and_tab_fails_its_model_line(capsys, tmp_path, sep):
+    # between two tokens of a transition, inside the header, and alone
+    texts = [
+        (f"dtmc 2 1\n1 1 1/2\n1 2{sep}1/2\n2 2 1\n", 3),
+        (f"# header\ndtmc 2{sep}1\n1 2 1\n2 2 1\n", 2),
+        (f"dtmc 2 1\n1 2 1\n{sep}\n2 2 1\n", 3),
+    ]
+    model = tmp_path / "blank.dtmc"
+    for text, line in texts:
+        with pytest.raises(ModelSyntaxError) as info:
+            parse(text)
+        assert info.value.line == line
+        model.write_bytes(text.encode())
+        code, out, err = run(capsys, "check", str(model), "--goal", "2")
+        assert (code, out) == (1, "")
+        assert err == f"error: {info.value}\n"
+        assert err.startswith(f"error: line {line}: U+{ord(sep):04X} ")
+
+
+@by_code_point
+def test_whitespace_other_than_space_and_tab_fails_a_cli_value(capsys, sep):
+    # around or inside each value
+    example = str(EXAMPLE)
+
+    def refine(target="7", threshold="4/9", seq="1,2,3,4"):
+        return ("refine", example, "--target", target, "--threshold", threshold,
+                "--seq", seq)
+
+    argvs = [("check", example, "--goal", goal)
+             for goal in (f"{sep}7,8", f"7,8{sep}", f"7,{sep}8", sep)]
+    argvs += [("abstract", example, "--set", subset)
+              for subset in (f"2,5,6{sep}", f"2,{sep}5,6", sep)]
+    argvs += [refine(seq=seq)
+              for seq in (f"1,2,3,4{sep}", f"{sep};1,2,3,4", f"2,5,6;1,{sep}2,3,4")]
+    argvs += [refine(target=target) for target in (f"7{sep}", f"{sep}7")]
+    argvs += [refine(threshold=threshold)
+              for threshold in (f"{sep}4/9", f"4/{sep}9", f"4/9{sep}")]
+    for argv in argvs:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: ")
+        if argv[-1] != sep:  # the same call without it succeeds
+            assert run(capsys, *(a.replace(sep, "") for a in argv))[0] in (0, 3)
+
+
+def test_a_trailing_newline_fails_a_cli_value(capsys):
+    argv = ("refine", str(EXAMPLE), "--threshold", "4/9", "--seq", "1,2,3,4")
+    assert run(capsys, *argv, "--target", "7")[0] == 3
+    assert run(capsys, *argv, "--target", "7\n") == (
+        2, "", "error: bad state index '7\\n'\n"
+    )
+    argv = ("refine", str(EXAMPLE), "--target", "7", "--seq", "1,2,3,4")
+    code, out, err = run(capsys, *argv, "--threshold", "4/9\n")
+    assert (code, out) == (2, "")
+    assert "threshold" in err
+
+
+def test_tabs_and_runs_of_spaces_are_blanks(capsys, tmp_path):
+    # around and between the tokens of each model line and around each value
+    spaced = "\t# the worked example\n" + "".join(
+        "  " + "\t \t".join(line.split(" ")) + " \t# c\n"
+        for line in EXAMPLE.read_text().splitlines()
+    )
+    assert parse(spaced) == parse(EXAMPLE.read_text())
+    model = tmp_path / "spaced.dtmc"
+    model.write_text(spaced)
+    padded_calls = [
+        ("check", "--goal", "\t7 ,  8\t"),
+        ("check", "--goal", " 7,8", "--json"),
+        ("abstract", "--set", "2, 5\t,6 ", "--prune"),
+        ("refine", "--target", "\t7 ", "--threshold", " 4/9\t", "--seq",
+         " 2,5 ,6 ;\t;1,2,3,4 ", "--concretize"),
+    ]
+    for (cmd, *padded), (_, *plain) in zip(padded_calls, READ_CALLS):
+        assert run(capsys, cmd, str(model), *padded) == run(
+            capsys, cmd, str(EXAMPLE), *plain
+        )
 
 
 @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])

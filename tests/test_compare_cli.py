@@ -42,6 +42,11 @@ def test_the_call_list_reaches_every_command_and_exit_code(ours):
     (not_utf8,) = [o for call, o in zip(CALLS, ours) if call.model == "not-utf-8"]
     assert not_utf8[:2] == [1, ""]
     assert not_utf8[2].startswith("error: 'utf-8' codec can't decode byte 0xff")
+    # a comment holding a line separator leaves the worked example as it is
+    example = {call.argv: o for call, o in zip(CALLS, ours) if call.model == "example8"}
+    commented = [(c, o) for c, o in zip(CALLS, ours) if c.model.startswith("comment-")]
+    assert len(commented) == 16
+    assert all(o == example[call.argv] and o[0] == 0 for call, o in commented)
 
 
 def test_an_unchanged_copy_shows_no_difference(tmp_path):

@@ -21,6 +21,9 @@ project, on the same seeded list of calls:
 * the random models and nested cycles of ``tests/helpers.py``;
 * the worked 8-state example, also with ``\\r\\n`` and with lone ``\\r``
   line endings and a bad line in each, and the paths ``.`` and ``""``;
+* the worked example under a comment holding a character other than
+  ``\\n`` and ``\\r`` at which ``str.splitlines()`` ends a line, and a bad
+  line after a comment holding NEL;
 * invalid inputs, among them a byte that is not UTF-8, and calls that exit
   1 and 2.
 
@@ -228,6 +231,24 @@ def _line_endings() -> list[Call]:
     return calls
 
 
+def _comment_separators() -> list[Call]:
+    """The worked example under a comment holding each character other than
+    ``\\n`` and ``\\r`` at which ``str.splitlines()`` ends a line, with a
+    transition after it that must stay in the comment, and a bad line after
+    a comment holding NEL, whose line number the NEL must not move."""
+    example = (ROOT / "tests" / "data" / "example8.dtmc").read_bytes()
+    argvs = [
+        ("check", FILE, "--goal", "7,8", "--method", "direct"),
+        ("abstract", FILE, "--set", "2,5,6"),
+    ]
+    calls = []
+    for sep in "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029":
+        model = f"# note{sep}1 2 1/2\n".encode() + example
+        calls += [Call(f"comment-U+{ord(sep):04X}", model, argv) for argv in argvs]
+    bad = "dtmc 2 1\n# a\x85b\n2 2 1\n1 3 1/2\n".encode()
+    return calls + [Call("bad-line-after-nel", bad, ("check", FILE, "--goal", "2"))]
+
+
 def _invalid() -> list[Call]:
     """Inputs rejected with exit 1 (unreadable or invalid model) or 2 (bad
     arguments for a valid model)."""
@@ -285,7 +306,8 @@ def build_calls() -> list[Call]:
     calls += _long_folds() + _wide_windows()
     for k in (3, 5, 7):
         calls += _tied_routes(k)
-    return calls + _worked_example() + _line_endings() + _invalid()
+    calls += _worked_example() + _line_endings() + _comment_separators()
+    return calls + _invalid()
 
 
 def model_argvs(calls: list[Call], tmp: Path) -> list[list[str]]:
