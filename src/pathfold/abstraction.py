@@ -156,9 +156,12 @@ def solve_linear(
     the exact eliminated row; rows already zero there are never touched.
     That same pass updates the per-column sets of live rows the heap's
     counts are read from.  A column no live row reaches means the matrix
-    is singular, whatever ``rows`` asks for.  The wanted unknowns are
-    pivoted last, so each of their pivot rows holds only its own column
-    and later pivots' ones.  From the last pivot up, :func:`_cancel`
+    is singular, whatever ``rows`` asks for.  A pivoted column needs no
+    flag: no live row holds it after its pivot, and a combination adds only
+    live pivot rows' columns, so its holder set stays empty, each heap
+    entry left for it is stale, and it is not pushed again.  The wanted
+    unknowns are pivoted last, so each of their pivot rows holds only its
+    own column and later pivots' ones.  From the last pivot up, :func:`_cancel`
     clears each such column with that column's pivot row, which by then
     holds only its own.  A wanted entry is then its row's ``b`` entry over
     the diagonal, one ``Fraction`` each.
@@ -184,15 +187,13 @@ def solve_linear(
         live.append(row)
     heap = [(c in tail, len(h), c) for c, h in enumerate(holders)]
     heapq.heapify(heap)
-    done = [False] * m
     pivots: list[tuple[int, int]] = []
     while heap:
         _, count, col = heapq.heappop(heap)
-        if done[col] or count != len(holders[col]):
+        if count != len(holders[col]):
             continue
         if not count:
             raise SingularMatrixError(f"no pivot in column {col}")
-        done[col] = True
         if count == 1:
             (p,) = holders[col]
         else:
@@ -206,9 +207,9 @@ def solve_linear(
                 touched.add(c)
         for r in list(holders[col]):
             _cancel(live[r], r, piv, col, holders, touched)
+        touched.discard(col)
         for c in touched:
-            if not done[c]:
-                heapq.heappush(heap, (c in tail, len(holders[c]), c))
+            heapq.heappush(heap, (c in tail, len(holders[c]), c))
     rhs = range(m, m + len(system.b[0])) if m else ()
     reduced: dict[int, dict[int, int]] = {}
     solved: dict[int, tuple[Fraction, ...]] = {}
@@ -311,21 +312,17 @@ class _Fold:
         :class:`FrontierSets`.  They are read off the members that are not
         skipped alone: a skipped member feeds no state and no state feeds
         it, so no other member's predecessors or successors hold it.  The
-        entries are the live members that are the initial state or have a
-        predecessor outside the live ones."""
+        entries are the live members outside their :meth:`interior`."""
         succ, pred, init = self.succ, self.pred, self.init
         live = set()
         for s in s1:
             if succ[s - 1] or pred[s - 1] or s == init:
                 live.add(s)
-        entries = set()
         exits = set()
         for s in live:
-            if s == init or not pred[s - 1] <= live:
-                entries.add(s)
             exits.update(succ[s - 1])
         exits -= live
-        return entries, exits, self.reach(live, exits)
+        return live - self.interior(live), exits, self.reach(live, exits)
 
     def collapse(self, s1: StateSet) -> None:
         """Collapse the checked subset ``s1`` in place, as

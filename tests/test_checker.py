@@ -372,6 +372,44 @@ def test_refine_trace_records_shrinking_chains(me):
     ]
 
 
+def _witnesses_match_a_fresh_search_and_never_fall(d, target, seq):
+    # threshold 1 never fires, so every step of seq is taken
+    _, best = most_probable_path(d, d.init, target)
+    for step in refine(d, target, 1, seq).trace:
+        found = (step.witness_path or (), step.witness_prob)
+        assert found == most_probable_path(step.chain, d.init, target)
+        assert step.witness_prob >= best
+        best = step.witness_prob
+
+
+@settings(max_examples=100)
+@given(seed=st.integers(0, 2**32), n=st.integers(3, 12))
+def test_refine_witnesses_grow_along_the_sequence_on_goal_models(seed, n):
+    rng = random.Random(seed)
+    d, goals = random_goal_model(rng, n)
+    moving = non_absorbing(d)
+    seq = [random_subset(rng, moving) for _ in range(rng.randint(1, 4))]
+    _witnesses_match_a_fresh_search_and_never_fall(d, rng.choice(goals), seq)
+
+
+@settings(max_examples=100)
+@given(
+    d=halves_and_quarters(),
+    seq=st.lists(st.sets(st.integers(1, 7)), min_size=1, max_size=4),
+)
+def test_refine_witnesses_grow_along_the_sequence_when_paths_tie(d, seq):
+    # the mass a row leaves unassigned goes to an absorbing target n + 1
+    target = d.n + 1
+    transitions = {(s, t): p for s, t, p in d.transitions()}
+    for s in d.states():
+        if (rest := 1 - sum(d.rows[s - 1])) > 0:
+            transitions[s, target] = rest
+    transitions[target, target] = 1
+    tied = Dtmc.from_transitions(target, d.init, transitions)
+    seq = [{s for s in subset if s <= d.n} for subset in seq]
+    _witnesses_match_a_fresh_search_and_never_fall(tied, target, seq)
+
+
 # --- witness concretization ---------------------------------------------------
 
 

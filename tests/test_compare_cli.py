@@ -47,6 +47,23 @@ def test_the_call_list_reaches_every_command_and_exit_code(ours):
     commented = [(c, o) for c, o in zip(CALLS, ours) if c.model.startswith("comment-")]
     assert len(commented) == 16
     assert all(o == example[call.argv] and o[0] == 0 for call, o in commented)
+    # only spaces and tabs are blanks: any other whitespace fails a model
+    # line with exit 1 and a value with exit 2, and tabs and runs of spaces
+    # give the worked example's outputs
+    blanks = [(c, o) for c, o in zip(CALLS, ours) if c.model.startswith("blank-")]
+    codes = {"line": 1, "value": 2}
+    rejected = [(c, o) for c, o in blanks if c.model != "blank-accepted"]
+    assert len(rejected) == 3 * 4 + 15 * 4 + 1
+    for call, (code, out, err) in rejected:
+        assert (code, out) == (codes[call.model.split("-")[1]], ""), call
+        assert err.startswith("error: ")
+    accepted = [(c, o) for c, o in blanks if c.model == "blank-accepted"]
+    assert len(accepted) == len(example)
+    unpadded = str.maketrans("", "", " \t")
+    for call, o in accepted:
+        plain = tuple(a.translate(unpadded) for a in call.argv)
+        assert plain != call.argv and o == example[plain]
+    assert {o[0] for _, o in accepted} == {0, 2, 3}
 
 
 def test_an_unchanged_copy_shows_no_difference(tmp_path):

@@ -24,6 +24,11 @@ project, on the same seeded list of calls:
 * the worked example under a comment holding a character other than
   ``\\n`` and ``\\r`` at which ``str.splitlines()`` ends a line, and a bad
   line after a comment holding NEL;
+* the blank rule, under which only spaces and tabs separate tokens: a
+  model line holding NBSP, U+3000, VT or NEL between two tokens, inside the
+  header or alone, the same characters around or inside each state list,
+  sequence, target and threshold, and ``--target "7\\n"``; and the worked
+  example with tabs and runs of spaces in every line and around each value;
 * invalid inputs, among them a byte that is not UTF-8, and calls that exit
   1 and 2.
 
@@ -59,6 +64,10 @@ import helpers  # noqa: E402
 FILE = families.FILE
 METHODS = ("direct", "scc", "recursive")
 SEED = 12
+# NBSP, IDEOGRAPHIC SPACE, VT and NEL: whitespace to str.split(), but no
+# blank in a model line or a command-line value
+NOT_BLANKS = "\xa0\u3000\x0b\x85"
+VALUE_FLAGS = {"--goal", "--set", "--seq", "--target", "--threshold"}
 
 
 @dataclass(frozen=True)
@@ -249,6 +258,64 @@ def _comment_separators() -> list[Call]:
     return calls + [Call("bad-line-after-nel", bad, ("check", FILE, "--goal", "2"))]
 
 
+def _padded(value: str) -> str:
+    """``value`` with tabs and runs of spaces around it and around each of
+    its commas and semicolons."""
+    for sep in ",;":
+        value = value.replace(sep, f" \t{sep}  ")
+    return f"\t {value}  \t"
+
+
+def _blanks() -> list[Call]:
+    """Spaces and tabs are the only blanks.  A model line holding one of
+    :data:`NOT_BLANKS` between two tokens, inside the header or as its only
+    content fails the model (exit 1); a state list, sequence, target or
+    threshold holding one around or inside it fails the call (exit 2), as
+    does ``--target "7\\n"``.  Tabs and runs of spaces in every line of the
+    worked example and around each value of its calls are accepted."""
+    example = (ROOT / "tests" / "data" / "example8.dtmc").read_text()
+    check = ("check", FILE, "--goal", "7,8")
+
+    def refine(target="7", threshold="4/9", seq="1,2,3,4"):
+        return ("refine", FILE, "--target", target, "--threshold", threshold,
+                "--seq", seq)
+
+    calls = []
+    for sep in NOT_BLANKS:
+        name = f"U+{ord(sep):04X}"
+        lines = {
+            "between": example.replace("\n2 5 1/3", f"\n2 5{sep}1/3"),
+            "header": example.replace("dtmc 8 1", f"dtmc 8{sep}1"),
+            "alone": example.replace("\n5 6 ", f"\n{sep}\n5 6 "),
+        }
+        calls += [
+            Call(f"blank-line-{where}-{name}", text.encode(), check)
+            for where, text in lines.items()
+        ]
+        argvs = [("check", FILE, "--goal", goal)
+                 for goal in (f"{sep}7,8", f"7,8{sep}", f"7,{sep}8", sep)]
+        argvs += [("abstract", FILE, "--set", subset)
+                  for subset in (f"2,5,6{sep}", f"2,{sep}5,6", sep)]
+        argvs += [refine(seq=seq)
+                  for seq in (f"1,2,3,4{sep}", f"{sep};1,2,3,4", f"2,5,6;1,{sep}2,3,4")]
+        argvs += [refine(target=target) for target in (f"7{sep}", f"{sep}7")]
+        argvs += [refine(threshold=threshold)
+                  for threshold in (f"{sep}4/9", f"4/{sep}9", f"4/9{sep}")]
+        calls += [Call(f"blank-value-{name}", example.encode(), argv) for argv in argvs]
+    calls.append(Call("blank-value-newline", example.encode(), refine(target="7\n")))
+    spaced = "\t# the worked example\n" + "".join(
+        "  " + "\t \t".join(line.split(" ")) + " \t# c\n"
+        for line in example.splitlines()
+    )
+    for call in _worked_example():
+        argv = [
+            _padded(a) if flag in VALUE_FLAGS else a
+            for flag, a in zip(("", *call.argv), call.argv)
+        ]
+        calls.append(Call("blank-accepted", spaced.encode(), tuple(argv)))
+    return calls
+
+
 def _invalid() -> list[Call]:
     """Inputs rejected with exit 1 (unreadable or invalid model) or 2 (bad
     arguments for a valid model)."""
@@ -307,7 +374,7 @@ def build_calls() -> list[Call]:
     for k in (3, 5, 7):
         calls += _tied_routes(k)
     calls += _worked_example() + _line_endings() + _comment_separators()
-    return calls + _invalid()
+    return calls + _blanks() + _invalid()
 
 
 def model_argvs(calls: list[Call], tmp: Path) -> list[list[str]]:
